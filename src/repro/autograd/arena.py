@@ -28,9 +28,9 @@ Numerics are unaffected: a pooled buffer is always fully overwritten
 (``np.copyto``) before it becomes a gradient, so enabling the arena is
 bit-identical to running without it.
 
-Pool statistics (hits, misses, released, dropped, pooled bytes) are
-exported through :func:`repro.perf.set_gauge` under ``arena.*`` and can
-be emitted as a ``repro.obs`` event by the engine.
+Pool statistics (hits, misses, released, dropped, pooled bytes) come
+from :meth:`GradArena.stats`; the engine emits them as an
+``engine.arena`` ``repro.obs`` event at the end of each run.
 """
 
 from __future__ import annotations
@@ -185,21 +185,3 @@ def active_arena(max_per_key: int = 8, arena: Optional[GradArena] = None) -> Ite
         yield _active
     finally:
         _active = previous
-
-
-def publish_stats(arena: Optional[GradArena] = None) -> Dict[str, int]:
-    """Push the arena's counters into :mod:`repro.perf` gauges.
-
-    Gauges land under ``arena.<counter>`` so benchmark and trace tooling
-    can read pool behaviour next to the wall-clock counters.  Returns the
-    stats that were published (empty when no arena is active).
-    """
-    from ..perf import set_gauge
-
-    target = arena if arena is not None else _active
-    if target is None:
-        return {}
-    stats = target.stats()
-    for name, value in stats.items():
-        set_gauge(f"arena.{name}", value)
-    return stats

@@ -162,10 +162,8 @@ def _cmd_train(args) -> int:
         if args.method != "e2gcl":
             print("--save only supports the e2gcl method", file=sys.stderr)
             return 2
-        from .core.serialization import save_model
-
-        save_model_path = save_model_wrapper(method, args.save)
-        print(f"checkpoint written to {save_model_path}")
+        written = method.last_loop.save_checkpoint(args.save)
+        print(f"checkpoint written to {written}")
     return 0
 
 
@@ -182,17 +180,6 @@ def _resolve_resume(target):
     if not path.is_file():
         return None
     return path
-
-
-def save_model_wrapper(method, path):
-    """Adapt an :class:`E2GCLMethod` to the facade-based checkpoint format."""
-    from .core import E2GCL
-    from .core.serialization import save_model
-
-    facade = E2GCL(method.config)
-    facade.trainer = method.trainer
-    facade.result = method.train_result
-    return save_model(facade, path)
 
 
 def _build_server(args):
@@ -481,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--partition-parts", type=int, default=None,
                        help="batch anchors by BFS partition part "
                             "(--sampled; Cluster-GCN-style locality)")
-    train.add_argument("--save", default=None, help="write an .npz checkpoint (e2gcl only)")
+    train.add_argument("--save", default=None, help="write a v2 .npz checkpoint (e2gcl only)")
     train.add_argument("--checkpoint", default=None,
                        help="write a resumable engine checkpoint (.npz, any method)")
     train.add_argument("--checkpoint-every", type=int, default=10,

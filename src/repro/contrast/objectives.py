@@ -18,7 +18,7 @@ contrasting mode:
 Numerical contracts, pinned by ``tests/contrast/test_equivalence.py``:
 
 * ``InfoNCE.pair_loss`` with ``negatives=None`` computes float-for-float
-  the historical ``repro.core.losses.infonce_loss`` (two dense ``(m, 2m)``
+  the historical ``infonce_loss`` (two dense ``(m, 2m)``
   similarity blocks, shifted logsumexp);
 * ``Euclidean.pair_loss`` is the historical Eq. 5 loss;
 * ``JSD.score_loss`` with equal-length scores is the historical DGI/MVGRL

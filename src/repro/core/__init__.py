@@ -1,4 +1,7 @@
-"""E2GCL core: node selector, view generator, losses, trainer, facade."""
+"""E2GCL core: node selector, view generator, trainer, facade.
+
+The contrastive losses (Eq. 5 + InfoNCE) live in :mod:`repro.contrast`.
+"""
 
 from .augmentations import (
     ALL_OPERATIONS,
@@ -16,11 +19,6 @@ from .augmentations import (
 )
 from .config import E2GCLConfig, ablation_config
 from .kmeans import KMeansResult, kmeans
-from .losses import (
-    euclidean_contrastive_loss,
-    infonce_loss,
-    sample_negative_indices,
-)
 from .model import E2GCL
 from .node_selector import CoresetResult, recommended_sample_size, select_coreset
 from .representativity import (
@@ -74,9 +72,6 @@ __all__ = [
     "generate_global_view",
     "generate_global_view_pair",
     "NodeView",
-    "euclidean_contrastive_loss",
-    "infonce_loss",
-    "sample_negative_indices",
     "drop_edges",
     "add_edges",
     "drop_nodes",

@@ -18,8 +18,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..graphs import Graph, propagated_features
-from ..obs.tracer import emit_event
-from ..perf import record
+from ..obs.tracer import emit_event, span
 from .representativity import (
     ClusterModel,
     RepresentativityObjective,
@@ -120,7 +119,7 @@ def select_coreset(
     start_time = time.perf_counter()
 
     if r is None:
-        with record("selector.propagate"):
+        with span("selector.propagate"):
             r = propagated_features(graph, hops)
     budget = min(budget, graph.num_nodes)
     if not np.isfinite(r).all():
@@ -129,7 +128,7 @@ def select_coreset(
             reason="non-finite propagated features",
         )
     if cluster_model is None:
-        with record("selector.cluster"):
+        with span("selector.cluster"):
             cluster_model = build_cluster_model(r, num_clusters, rng=rng)
     if budget < graph.num_nodes > 1 and np.ptp(r, axis=0).max() == 0.0:
         # Every node coincides in R-space (e.g. constant features after
@@ -145,7 +144,7 @@ def select_coreset(
 
     unselected = np.ones(graph.num_nodes, dtype=bool)
     gains: List[float] = []
-    with record("selector.greedy"):
+    with span("selector.greedy"):
         while len(objective.selected) < budget:
             pool = np.flatnonzero(unselected)
             if pool.size == 0:
@@ -173,7 +172,7 @@ def select_coreset(
             unselected[best_candidate] = False
 
     selected = np.asarray(objective.selected, dtype=np.int64)
-    with record("selector.assign"):
+    with span("selector.assign"):
         assignment = _nearest_selected(cluster_model.r, selected)
         weights = np.bincount(assignment, minlength=selected.size).astype(np.float64)
     elapsed = time.perf_counter() - start_time

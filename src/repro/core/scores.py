@@ -41,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from ..graphs import Graph, centrality as graph_centrality, degree_centrality
-from ..perf import profiled
+from ..obs.tracer import span
 
 
 class _SegmentedView:
@@ -224,7 +224,6 @@ def _pairwise_similarity(
     return c_offset - np.sqrt(dist_sq)
 
 
-@profiled("scores.compute_edge_scores")
 def compute_edge_scores(
     graph: Graph,
     beta: float = 0.7,
@@ -252,38 +251,39 @@ def compute_edge_scores(
     centrality_method:
         ``"degree"`` (the paper's φ_c), ``"pagerank"``, or ``"eigenvector"``.
     """
-    if not 0.0 < beta < 1.0:
-        raise ValueError("beta must be in (0, 1)")
-    rng = rng or np.random.default_rng(0)
-    indptr, flat_candidates, is_neighbor = _candidate_sets(graph, max_candidates, rng)
-    counts = np.diff(indptr)
-    sources = np.repeat(np.arange(graph.num_nodes, dtype=np.int64), counts)
+    with span("scores.compute_edge_scores"):
+        if not 0.0 < beta < 1.0:
+            raise ValueError("beta must be in (0, 1)")
+        rng = rng or np.random.default_rng(0)
+        indptr, flat_candidates, is_neighbor = _candidate_sets(graph, max_candidates, rng)
+        counts = np.diff(indptr)
+        sources = np.repeat(np.arange(graph.num_nodes, dtype=np.int64), counts)
 
-    if uniform:
-        scores = np.where(is_neighbor, beta, 1.0 - beta)
-    else:
-        centrality = _node_influence(graph, centrality_method)
-        sim = _pairwise_similarity(graph, sources, flat_candidates, similarity_offset(graph))
-        phi = centrality[flat_candidates]
-        # exp() is shift-invariant under the final normalization, so subtract
-        # each node's max exponent for numerical safety.
-        exponent = np.where(is_neighbor, phi + sim, -phi + sim)
-        exponent -= _segmented_max(exponent, indptr, counts)[sources]
-        scores = np.where(is_neighbor, beta, 1.0 - beta) * np.exp(exponent)
+        if uniform:
+            scores = np.where(is_neighbor, beta, 1.0 - beta)
+        else:
+            centrality = _node_influence(graph, centrality_method)
+            sim = _pairwise_similarity(graph, sources, flat_candidates, similarity_offset(graph))
+            phi = centrality[flat_candidates]
+            # exp() is shift-invariant under the final normalization, so subtract
+            # each node's max exponent for numerical safety.
+            exponent = np.where(is_neighbor, phi + sim, -phi + sim)
+            exponent -= _segmented_max(exponent, indptr, counts)[sources]
+            scores = np.where(is_neighbor, beta, 1.0 - beta) * np.exp(exponent)
 
-    totals = _segmented_sum(scores, indptr, counts)
-    safe_totals = np.where(totals > 0, totals, 1.0)[sources]
-    probs = np.where(
-        totals[sources] > 0,
-        scores / safe_totals,
-        1.0 / np.maximum(counts, 1)[sources],
-    )
-    return EdgeScoreTable(
-        indptr=indptr,
-        indices=flat_candidates.astype(np.int64),
-        probs=probs,
-        base_degree=graph.degrees.copy(),
-    )
+        totals = _segmented_sum(scores, indptr, counts)
+        safe_totals = np.where(totals > 0, totals, 1.0)[sources]
+        probs = np.where(
+            totals[sources] > 0,
+            scores / safe_totals,
+            1.0 / np.maximum(counts, 1)[sources],
+        )
+        return EdgeScoreTable(
+            indptr=indptr,
+            indices=flat_candidates.astype(np.int64),
+            probs=probs,
+            base_degree=graph.degrees.copy(),
+        )
 
 
 @dataclass
@@ -306,7 +306,6 @@ class FeatureScoreTable:
         return np.clip(eta * self.normalized, 0.0, 1.0)
 
 
-@profiled("scores.compute_feature_scores")
 def compute_feature_scores(
     graph: Graph,
     normalization: str = "global",
@@ -318,28 +317,29 @@ def compute_feature_scores(
     ``uniform=True`` is the E2GCL\\F ablation: every entry is perturbed with
     the same probability η.
     """
-    n, d = graph.features.shape
-    if uniform:
-        flat = np.ones((n, d))
-        return FeatureScoreTable(
-            scores=flat, dimension_scores=np.ones(d), normalized=flat
-        )
-    centrality = _node_influence(graph, centrality_method)
-    dimension_scores = centrality @ np.abs(graph.features)  # w_i^f, shape (d,)
-    scores = np.outer(centrality, dimension_scores)          # w^f_{x_v[i]}
+    with span("scores.compute_feature_scores"):
+        n, d = graph.features.shape
+        if uniform:
+            flat = np.ones((n, d))
+            return FeatureScoreTable(
+                scores=flat, dimension_scores=np.ones(d), normalized=flat
+            )
+        centrality = _node_influence(graph, centrality_method)
+        dimension_scores = centrality @ np.abs(graph.features)  # w_i^f, shape (d,)
+        scores = np.outer(centrality, dimension_scores)          # w^f_{x_v[i]}
 
-    if normalization == "global":
-        w_max = scores.max()
-        w_mean = scores.mean()
-        span = max(w_max - w_mean, 1e-12)
-        normalized = np.clip((w_max - scores) / span, 0.0, 1.0)
-    elif normalization == "per_dimension":
-        w_max = scores.max(axis=0, keepdims=True)
-        w_mean = scores.mean(axis=0, keepdims=True)
-        span = np.maximum(w_max - w_mean, 1e-12)
-        normalized = np.clip((w_max - scores) / span, 0.0, 1.0)
-    else:
-        raise ValueError(f"unknown normalization {normalization!r}")
-    return FeatureScoreTable(
-        scores=scores, dimension_scores=dimension_scores, normalized=normalized
-    )
+        if normalization == "global":
+            w_max = scores.max()
+            w_mean = scores.mean()
+            spread = max(w_max - w_mean, 1e-12)
+            normalized = np.clip((w_max - scores) / spread, 0.0, 1.0)
+        elif normalization == "per_dimension":
+            w_max = scores.max(axis=0, keepdims=True)
+            w_mean = scores.mean(axis=0, keepdims=True)
+            spread = np.maximum(w_max - w_mean, 1e-12)
+            normalized = np.clip((w_max - scores) / spread, 0.0, 1.0)
+        else:
+            raise ValueError(f"unknown normalization {normalization!r}")
+        return FeatureScoreTable(
+            scores=scores, dimension_scores=dimension_scores, normalized=normalized
+        )

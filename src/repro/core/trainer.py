@@ -25,7 +25,7 @@ from ..contrast import L2LContrast, UniformK, get_negative_sampler, get_objectiv
 from ..engine import CallbackHook, EpochRecord, RngStreams, RunHistory, TrainLoop, TrainStep
 from ..graphs import Graph
 from ..nn import GCN, ProjectionHead
-from ..perf import record
+from ..obs.tracer import span
 from .config import E2GCLConfig
 from .node_selector import CoresetResult, select_coreset
 from .scores import compute_edge_scores, compute_feature_scores
@@ -153,7 +153,7 @@ class E2GCLTrainer(TrainStep):
             self._weights = np.asarray(weights, dtype=np.float64)
             self._selection_seconds = time.perf_counter() - start
         elif cfg.use_coreset:
-            with record("trainer.selection"):
+            with span("trainer.selection"):
                 self.coreset = select_coreset(
                     self.graph,
                     budget=cfg.budget_for(self.graph.num_nodes),
@@ -192,7 +192,7 @@ class E2GCLTrainer(TrainStep):
     # ------------------------------------------------------------------
     def _views(self):
         cfg = self.config
-        with record("trainer.views"):
+        with span("trainer.views"):
             return generate_global_view_pair(
                 self.graph,
                 self._edge_table,

@@ -31,7 +31,7 @@ from typing import List, Tuple
 import numpy as np
 
 from ..graphs import Graph, adjacency_from_edges
-from ..perf import record
+from ..obs.tracer import span
 from .augmentations import perturb_features
 from .scores import EdgeScoreTable, FeatureScoreTable
 
@@ -258,7 +258,7 @@ def generate_global_view(
     perturb_magnitude: float = 1.0,
 ) -> Graph:
     """Batched Alg. 3: one augmented graph whose ego networks are the views."""
-    with record("view_generator.generate_global_view"):
+    with span("view_generator.generate_global_view"):
         sources, targets = _batched_weighted_sample(edge_table, tau, rng)
         pairs = np.stack([np.minimum(sources, targets), np.maximum(sources, targets)], axis=1) \
             if sources.size else np.empty((0, 2), dtype=np.int64)

@@ -159,9 +159,6 @@ class TimedEvalHook(Hook):
     shared origin, inclusive of setup/selection — and the probe's own cost
     is excluded from the clock via ``loop.exclude_seconds``, matching the
     paper's convention that training time excludes evaluation.
-
-    Replaces the ad-hoc callback plumbing of
-    :class:`repro.eval.protocol.TimedEvaluator` for engine-driven runs.
     """
 
     def __init__(

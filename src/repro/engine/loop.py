@@ -22,13 +22,12 @@ One loop owns everything method-agnostic about pre-training:
 * **checkpoint save/resume** — ``loop.save_checkpoint(path)`` captures the
   full run state, ``TrainLoop(..., resume_from=path)`` continues it
   bit-identically;
-* **perf counter scoping** — setup and epochs accumulate under
-  ``<scope>.setup`` / ``<scope>.epoch`` in :mod:`repro.perf`;
+* **span scoping** — setup and epochs run inside ``<scope>.setup`` /
+  ``<scope>.epoch`` spans of the active :mod:`repro.obs` tracer;
 * **gradient buffer pooling** — the loop runs with the
   :mod:`repro.autograd.arena` active (bit-identical numerics), so every
   backward pass in the run recycles its intermediate gradient buffers;
-  pool counters land in :mod:`repro.perf` gauges and an
-  ``engine.arena`` event at the end of the run.
+  pool counters land in an ``engine.arena`` event at the end of the run.
 """
 
 from __future__ import annotations
@@ -40,8 +39,7 @@ from typing import Callable, Dict, Iterable, Optional, Union
 
 from ..autograd import Adam
 from ..autograd import arena as _arena
-from ..obs.tracer import emit_event
-from ..perf import record
+from ..obs.tracer import emit_event, span
 from .checkpoint import restore_loop, save_checkpoint
 from .history import EpochRecord, RunHistory
 from .rng import RngStreams
@@ -96,7 +94,7 @@ class TrainLoop:
     seed:
         Root seed used only when ``rngs`` is not supplied.
     scope:
-        Prefix for the :mod:`repro.perf` counters
+        Prefix for the setup/epoch span names
         (``<scope>.setup`` / ``<scope>.epoch``).
     resume_from:
         Optional v2 checkpoint path; the run continues from its saved
@@ -220,8 +218,8 @@ class TrainLoop:
         if self.grad_arena is not None:
             with _arena.active_arena(arena=self.grad_arena):
                 history = self._run()
-            stats = _arena.publish_stats(self.grad_arena)
-            emit_event("engine.arena", scope=self.scope, **stats)
+            emit_event("engine.arena", scope=self.scope,
+                       **self.grad_arena.stats())
             return history
         return self._run()
 
@@ -230,7 +228,7 @@ class TrainLoop:
         self._excluded_seconds = 0.0
         for hook in self.hooks:
             hook.on_run_start(self)
-        with record(f"{self.scope}.setup"):
+        with span(f"{self.scope}.setup"):
             self.step.prepare(self)
         params = list(self.step.trainable_parameters())
         if params:
@@ -248,7 +246,7 @@ class TrainLoop:
                 hook.on_epoch_start(self, epoch)
             failure: Optional[Failure] = None
             try:
-                with record(f"{self.scope}.epoch"):
+                with span(f"{self.scope}.epoch"):
                     loss = self.step.run_epoch(self, epoch)
             except Exception as exc:
                 failure = Failure(

@@ -8,7 +8,7 @@ from .graph_classification import (
 from .link_prediction import LinkPredictionResult, evaluate_link_prediction
 from .metrics import MeanStd, accuracy, macro_f1, roc_auc
 from .node_classification import NodeClassificationResult, evaluate_embeddings
-from .protocol import CurvePoint, TimedCurve, TimedEvaluator
+from .protocol import CurvePoint, TimedCurve
 from .visualize import ScatterData, coreset_scatter, pca_2d, tsne_2d
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "evaluate_graph_classification",
     "summarize_graphs",
     "GraphClassificationResult",
-    "TimedEvaluator",
     "TimedCurve",
     "CurvePoint",
     "pca_2d",

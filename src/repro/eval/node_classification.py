@@ -15,7 +15,7 @@ import numpy as np
 
 from ..graphs import Graph, split_nodes
 from ..nn import LogisticRegressionDecoder
-from ..perf import record
+from ..obs.tracer import span
 from .metrics import MeanStd, accuracy
 
 
@@ -49,7 +49,7 @@ def evaluate_embeddings(
 
     test_scores: List[float] = []
     val_scores: List[float] = []
-    with record("eval.linear_probe"):
+    with span("eval.linear_probe"):
         for trial in range(trials):
             rng = np.random.default_rng(seed + 1000 * trial)
             split = split_nodes(

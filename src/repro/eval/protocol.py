@@ -1,20 +1,15 @@
-"""Timed-training evaluation protocol for Fig. 3's accuracy-vs-time curves.
+"""The accuracy-vs-time series behind Fig. 3.
 
-During pre-training, the encoder is checkpoint-evaluated at fixed epoch
-intervals; each checkpoint records (cumulative wall-clock seconds, linear-
-eval accuracy), producing the series plotted in Fig. 3.
+During pre-training, :class:`repro.engine.TimedEvalHook` linear-evaluates
+the encoder at fixed epoch intervals on the engine's canonical clock;
+each evaluation appends one (cumulative wall-clock seconds, accuracy)
+:class:`CurvePoint` to a :class:`TimedCurve`.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional
-
-import numpy as np
-
-from ..graphs import Graph
-from .node_classification import evaluate_embeddings
+from typing import List, Optional
 
 
 @dataclass
@@ -45,61 +40,3 @@ class TimedCurve:
             if point.accuracy >= accuracy:
                 return point.seconds
         return None
-
-
-class TimedEvaluator:
-    """Callback object plugged into a trainer's per-epoch hook.
-
-    Evaluation time is *excluded* from the recorded wall clock (the paper
-    measures training time, not the probe's cost).
-
-    Legacy interface: it keeps its own ``start()``-reset clock, which does
-    not see engine setup/selection time.  Engine-driven runs should prefer
-    :class:`repro.engine.TimedEvalHook`, which reads the loop's canonical
-    clock (one origin shared by every method, probe cost excluded via
-    ``loop.exclude_seconds``) and is passed as ``fit(graph, hooks=[...])``.
-    """
-
-    def __init__(
-        self,
-        graph: Graph,
-        embed_fn: Callable[[], np.ndarray],
-        label: str,
-        every: int = 5,
-        eval_trials: int = 2,
-        eval_seed: int = 0,
-        decoder_epochs: int = 120,
-    ) -> None:
-        self.graph = graph
-        self.embed_fn = embed_fn
-        self.curve = TimedCurve(label=label, points=[])
-        self.every = max(1, every)
-        self.eval_trials = eval_trials
-        self.eval_seed = eval_seed
-        self.decoder_epochs = decoder_epochs
-        self._start = time.perf_counter()
-        self._eval_overhead = 0.0
-        self.extra_seconds = 0.0  # e.g. selection time incurred before epoch 0
-
-    def start(self) -> "TimedEvaluator":
-        """Reset the wall clock (call immediately before training)."""
-        self._start = time.perf_counter()
-        self._eval_overhead = 0.0
-        return self
-
-    def __call__(self, epoch: int, _trainer=None) -> None:
-        if epoch % self.every != 0:
-            return
-        elapsed = time.perf_counter() - self._start - self._eval_overhead + self.extra_seconds
-        probe_start = time.perf_counter()
-        result = evaluate_embeddings(
-            self.graph,
-            self.embed_fn(),
-            seed=self.eval_seed,
-            trials=self.eval_trials,
-            decoder_epochs=self.decoder_epochs,
-        )
-        self._eval_overhead += time.perf_counter() - probe_start
-        self.curve.points.append(
-            CurvePoint(epoch=epoch, seconds=elapsed, accuracy=result.test_accuracy.mean)
-        )

@@ -4,10 +4,10 @@ One observability layer for every run: a :class:`Tracer` records nested
 wall-clock spans, per-epoch metric series, and a provenance manifest as
 JSONL; :class:`TraceHook` / :class:`MetricsHook` plug it into the training
 engine's hook pipeline so E2GCL and all registered baselines emit traces
-with no per-method code; active tracers also capture every
-:func:`repro.perf.record` scope as a span, so the existing hot-path
-instrumentation (selection, view sampling, setup/epoch scopes) lands in
-the trace for free.
+with no per-method code.  :func:`span` is also the library's only
+wall-clock instrumentation: the hot paths (selection, scores, view
+sampling, engine setup/epochs, serving, streaming) open their spans
+through it, so they land in whichever tracer is active.
 
 Quickstart::
 

@@ -2,8 +2,7 @@
 
 ``TraceHook`` owns the trace lifecycle: it activates its tracer at run
 start (unless the caller already did), writes the manifest, wraps every
-epoch in a span, marks checkpoints, and on stop bridges the run's
-:mod:`repro.perf` counter *deltas* into the trace as summary events.
+epoch in a span, and marks checkpoints, failures and the stop reason.
 ``MetricsHook`` emits the per-epoch series — loss, elapsed seconds, and
 the global gradient norm — as metric events.
 
@@ -21,20 +20,19 @@ from typing import Optional
 
 from ..autograd import global_grad_norm
 from ..engine.hooks import Hook
-from ..perf import report
 from .manifest import build_manifest
 from .tracer import Tracer
 
 
 class TraceHook(Hook):
-    """Trace a training run: manifest, run/epoch spans, counter deltas.
+    """Trace a training run: manifest, run/epoch spans, markers.
 
     Parameters
     ----------
     tracer:
         The tracer events are written to.  If it is not the process-wide
         active tracer when the run starts, the hook activates it for the
-        run's duration (so ``repro.perf`` scopes flow in as spans) and
+        run's duration (so the library's own spans flow in) and
         deactivates it on stop; an already-active tracer is left alone, so
         a caller tracing a larger scope (e.g. the CLI tracing fit *and*
         the final evaluation) keeps ownership.
@@ -49,7 +47,6 @@ class TraceHook(Hook):
         self._owns_activation = False
         self._run_span = None
         self._epoch_span = None
-        self._counters_before: dict = {}
 
     def on_run_start(self, loop) -> None:
         """Activate (if needed), write the manifest, open the run span."""
@@ -58,7 +55,6 @@ class TraceHook(Hook):
             self._owns_activation = True
         manifest = self._manifest if self._manifest is not None else build_manifest()
         self.tracer.manifest(manifest)
-        self._counters_before = report()
         self._run_span = self.tracer.span("run", scope=loop.scope)
         self._run_span.__enter__()
 
@@ -83,7 +79,7 @@ class TraceHook(Hook):
         return False
 
     def on_stop(self, loop) -> None:
-        """Close the run span, bridge counter deltas, release the tracer."""
+        """Close the run span and release the tracer."""
         if self._epoch_span is not None:  # stop mid-epoch (defensive)
             self._epoch_span.__exit__(None, None, None)
             self._epoch_span = None
@@ -92,13 +88,6 @@ class TraceHook(Hook):
         if self._run_span is not None:
             self._run_span.__exit__(None, None, None)
             self._run_span = None
-        for name, stats in report().items():
-            before = self._counters_before.get(name, {})
-            calls = stats["calls"] - before.get("calls", 0)
-            seconds = stats["seconds"] - before.get("seconds", 0.0)
-            if calls > 0:
-                self.tracer.counter(name, calls, seconds,
-                                    peak_bytes=stats.get("peak_bytes", 0))
         if self._owns_activation:
             self.tracer.deactivate()
             self._owns_activation = False

@@ -1,7 +1,7 @@
 """Parsing and summarizing JSONL traces (the ``repro trace`` subcommand).
 
 :func:`summarize_trace` folds a trace's event stream into per-span-name
-aggregates, metric series, bridged counters, and the manifest;
+aggregates, metric series, markers, and the manifest;
 :func:`render_summary` turns that into the text report the CLI prints:
 slowest spans first, then a per-epoch table assembled from the metric
 events (loss / elapsed / grad norm / timed-eval accuracy).
@@ -24,7 +24,6 @@ class SpanStat:
     total_seconds: float = 0.0
     max_seconds: float = 0.0
     max_depth: int = 0
-    peak_bytes: int = 0
 
     @property
     def mean_seconds(self) -> float:
@@ -39,7 +38,6 @@ class TraceSummary:
     manifest: Optional[dict] = None
     spans: Dict[str, SpanStat] = field(default_factory=dict)
     metrics: Dict[str, List[dict]] = field(default_factory=dict)
-    counters: List[dict] = field(default_factory=list)
     markers: List[dict] = field(default_factory=list)
     num_events: int = 0
 
@@ -77,7 +75,11 @@ def read_events(path: Union[str, Path]) -> List[dict]:
 
 
 def summarize_events(events: List[dict]) -> TraceSummary:
-    """Fold parsed events into a :class:`TraceSummary`."""
+    """Fold parsed events into a :class:`TraceSummary`.
+
+    Event kinds it does not know are skipped, e.g. the ``counter`` events
+    that traces written by older versions still carry.
+    """
     summary = TraceSummary(num_events=len(events))
     for event in events:
         kind = event.get("type")
@@ -91,11 +93,8 @@ def summarize_events(events: List[dict]) -> TraceSummary:
             stat.total_seconds += float(event.get("seconds", 0.0))
             stat.max_seconds = max(stat.max_seconds, float(event.get("seconds", 0.0)))
             stat.max_depth = max(stat.max_depth, int(event.get("depth", 0)))
-            stat.peak_bytes = max(stat.peak_bytes, int(event.get("peak_bytes", 0)))
         elif kind == "metric":
             summary.metrics.setdefault(event["name"], []).append(event)
-        elif kind == "counter":
-            summary.counters.append(event)
         elif kind == "event":
             summary.markers.append(event)
     return summary
@@ -135,13 +134,11 @@ def render_summary(summary: TraceSummary, top: int = 12) -> str:
         lines.append("\nslowest spans (by total time):")
         name_width = max(len(s.name) for s in slowest)
         for stat in slowest:
-            extra = (f" (peak {stat.peak_bytes / 2**20:.1f} MiB)"
-                     if stat.peak_bytes else "")
             lines.append(
                 f"  {stat.name.ljust(name_width)}  "
                 f"{stat.total_seconds:9.4f}s / {stat.calls}x  "
                 f"(mean {stat.mean_seconds * 1e3:8.2f}ms, "
-                f"max {stat.max_seconds * 1e3:8.2f}ms){extra}"
+                f"max {stat.max_seconds * 1e3:8.2f}ms)"
             )
 
     rows = summary.epoch_table()
@@ -158,13 +155,4 @@ def render_summary(summary: TraceSummary, top: int = 12) -> str:
                 width = max(len(column), 10)
                 cells.append((f"{value:.6g}" if value is not None else "-").rjust(width))
             lines.append(f"  {row['epoch']:5d} | " + " | ".join(cells))
-
-    if summary.counters:
-        lines.append("\nperf counters (run deltas):")
-        ordered = sorted(summary.counters, key=lambda c: -c.get("seconds", 0.0))
-        for counter in ordered[:top]:
-            lines.append(
-                f"  {counter['name']}: {counter['seconds']:.4f}s "
-                f"/ {counter['calls']}x"
-            )
     return "\n".join(lines)

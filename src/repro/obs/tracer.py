@@ -1,40 +1,38 @@
 """The span-based run tracer behind ``repro.obs``.
 
 A :class:`Tracer` records a stream of JSONL events — nested wall-clock
-spans, per-epoch metrics, perf-counter summaries, and a run manifest —
-either in memory, to a file, or both.  One tracer at a time can be
-*active* process-wide; while active it also receives every
-:func:`repro.perf.record` scope as a span, so the counters that already
-instrument the hot paths (selection, view sampling, engine setup/epochs)
-appear in the trace with no extra plumbing.
+spans, per-epoch metrics, and a run manifest — either in memory, to a
+file, or both.  One tracer at a time can be *active* process-wide; the
+library's hot paths (selection, scores, view sampling, engine
+setup/epochs, serving, streaming) open their spans through the
+module-level :func:`span`, so they land in whichever tracer is active.
 
 Event shapes (one JSON object per line)::
 
     {"type": "manifest", ...}                       # run provenance
     {"type": "span", "name": ..., "id": n, "parent": m|null, "depth": d,
-     "t_start": s, "seconds": s, "peak_bytes": b?, ...attrs}
+     "thread": t, "t_start": s, "seconds": s, ...attrs}
     {"type": "metric", "name": ..., "value": v, "t": s, ...attrs}
-    {"type": "counter", "name": ..., "calls": c, "seconds": s,
-     "peak_bytes": b}                               # perf summary bridge
     {"type": "event", "name": ..., "t": s, ...attrs}  # free-form marker
 
 Span events are emitted when the span *closes* (that is when the duration
 is known), so children precede their parents in the stream; ``parent`` ids
-recover the nesting.  When no tracer is active, the module-level
-:func:`span` / :func:`emit_metric` helpers are no-ops costing one global
-read — cheap enough to leave in the training loop permanently.
+recover the nesting.  Each thread keeps its own span stack, so a span's
+parent is always the innermost span open on the *same* thread (``thread``
+is its ``threading.get_ident()``).  When no tracer is active, the
+module-level :func:`span` / :func:`emit_metric` helpers are no-ops
+costing one global read — cheap enough to leave in the training loop
+permanently.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import threading
 import time
-import tracemalloc
 from pathlib import Path
 from typing import Dict, List, Optional, Union
-
-from ..perf.counters import set_trace_sink
 
 _lock = threading.Lock()
 _active: Optional["Tracer"] = None
@@ -86,7 +84,7 @@ class _Span:
     """A live span: context manager that emits its event on exit."""
 
     __slots__ = ("tracer", "name", "attrs", "span_id", "parent", "depth",
-                 "_t0", "_track")
+                 "thread", "_stack", "_t0")
 
     def __init__(self, tracer: "Tracer", name: str, attrs: dict) -> None:
         self.tracer = tracer
@@ -95,33 +93,31 @@ class _Span:
 
     def __enter__(self) -> "_Span":
         tracer = self.tracer
-        stack = tracer._stack
+        stack = self._stack = tracer._thread_stack()
         self.parent = stack[-1].span_id if stack else None
         self.depth = len(stack)
-        self.span_id = tracer._next_span_id()
+        self.thread = threading.get_ident()
+        self.span_id = next(tracer._span_ids)
         stack.append(self)
-        self._track = tracer.trace_malloc and tracemalloc.is_tracing()
-        if self._track:
-            tracemalloc.reset_peak()
         self._t0 = time.perf_counter()
         return self
 
     def __exit__(self, *exc) -> None:
         seconds = time.perf_counter() - self._t0
         tracer = self.tracer
-        if tracer._stack and tracer._stack[-1] is self:
-            tracer._stack.pop()
+        stack = self._stack
+        if stack and stack[-1] is self:
+            stack.pop()
         payload = {
             "type": "span",
             "name": self.name,
             "id": self.span_id,
             "parent": self.parent,
             "depth": self.depth,
+            "thread": self.thread,
             "t_start": self._t0 - tracer._origin,
             "seconds": seconds,
         }
-        if self._track:
-            payload["peak_bytes"] = tracemalloc.get_traced_memory()[1]
         if self.attrs:
             payload.update(self.attrs)
         tracer._emit(payload)
@@ -136,25 +132,18 @@ class Tracer:
         Optional JSONL output file; events are appended as they close and
         flushed by :meth:`flush` / :meth:`close`.  Without a path the trace
         lives in :attr:`events` only (handy in tests).
-    trace_malloc:
-        Record each span's ``tracemalloc`` peak (requires tracing to be
-        started, e.g. via :func:`repro.perf.enable_allocation_tracking`).
-        Nested spans reset the shared peak, so treat peaks as per-innermost
-        span.  Off by default — it slows allocation-heavy code.
 
     A tracer is also a context manager: ``with tracer:`` activates it
-    process-wide (spans from :func:`span` and every ``repro.perf`` scope
-    flow in) and deactivates + flushes on exit.
+    process-wide (every module-level :func:`span` flows in) and
+    deactivates + flushes on exit.
     """
 
-    def __init__(self, path: Optional[Union[str, Path]] = None,
-                 trace_malloc: bool = False) -> None:
+    def __init__(self, path: Optional[Union[str, Path]] = None) -> None:
         self.path = Path(path) if path is not None else None
-        self.trace_malloc = trace_malloc
         self.events: List[dict] = []
         self._origin = time.perf_counter()
-        self._stack: List[_Span] = []
-        self._span_count = 0
+        self._local = threading.local()
+        self._span_ids = itertools.count(1)
         self._file = None
         self._closed = False
 
@@ -186,17 +175,6 @@ class Tracer:
         payload.update(attrs)
         self._emit(payload)
 
-    def counter(self, name: str, calls: int, seconds: float,
-                peak_bytes: int = 0) -> None:
-        """A bridged :mod:`repro.perf` counter summary."""
-        self._emit({
-            "type": "counter",
-            "name": name,
-            "calls": int(calls),
-            "seconds": float(seconds),
-            "peak_bytes": int(peak_bytes),
-        })
-
     def manifest(self, payload: Dict) -> None:
         """The run manifest (see :func:`repro.obs.build_manifest`)."""
         record = {"type": "manifest"}
@@ -204,9 +182,12 @@ class Tracer:
         self._emit(record)
 
     # ------------------------------------------------------------------
-    def _next_span_id(self) -> int:
-        self._span_count += 1
-        return self._span_count
+    def _thread_stack(self) -> List[_Span]:
+        """The calling thread's stack of open spans (innermost last)."""
+        stack = getattr(self._local, "stack", None)
+        if stack is None:
+            stack = self._local.stack = []
+        return stack
 
     def _emit(self, payload: dict) -> None:
         with _lock:
@@ -227,12 +208,11 @@ class Tracer:
         return _active is self
 
     def activate(self) -> "Tracer":
-        """Install as the process-wide tracer (also hooks ``repro.perf``)."""
+        """Install as the process-wide tracer."""
         global _active
         if _active is not None and _active is not self:
             raise RuntimeError("another tracer is already active")
         _active = self
-        set_trace_sink(self)
         return self
 
     def deactivate(self) -> None:
@@ -240,7 +220,6 @@ class Tracer:
         global _active
         if _active is self:
             _active = None
-            set_trace_sink(None)
 
     def flush(self) -> None:
         """Push buffered file output to disk (no-op for in-memory traces)."""

@@ -8,7 +8,7 @@ Four pieces, each locked by the dense-oracle equivalence tier in
   (degree-corrected normalization: block entries are the exact
   full-graph floats);
 * :mod:`~repro.scale.partition` — BFS-grow graph partitioning with
-  edge-cut / balance gauges, used for Cluster-GCN-style batch locality;
+  edge-cut / balance metrics, used for Cluster-GCN-style batch locality;
 * :mod:`~repro.scale.sampler` — seeded L-hop union-block neighbor
   sampling (exact with ``fanouts=None``, GraphSAGE importance-rescaled
   otherwise);

@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..graphs.adjacency import normalized_adjacency
-from ..perf import record, set_gauge
+from ..obs.tracer import emit_metric, span
 
 __all__ = ["FeatureStore", "blockwise_propagated_features", "rows_per_chunk"]
 
@@ -107,7 +107,7 @@ class FeatureStore:
     def gather(self, indices: np.ndarray) -> np.ndarray:
         """Materialize the rows ``indices`` (a fresh in-memory array)."""
         indices = np.asarray(indices, dtype=np.int64)
-        with record("scale.feature_gather"):
+        with span("scale.feature_gather"):
             return np.asarray(self._data[indices])
 
     def chunk(self, start: int, stop: int) -> np.ndarray:
@@ -146,7 +146,7 @@ def blockwise_propagated_features(
         return store.as_array()
     out_dtype = np.result_type(a_n.dtype, store.dtype)
     chunk = rows_per_chunk(d, out_dtype.itemsize, chunk_budget_bytes)
-    set_gauge("scale.propagate.chunk_rows", float(chunk))
+    emit_metric("scale.propagate.chunk_rows", float(chunk))
 
     def make_buffer(tag: str) -> np.ndarray:
         if out_dir is None:
@@ -159,7 +159,7 @@ def blockwise_propagated_features(
     pong: Optional[np.ndarray] = None
     src: Union[np.ndarray, FeatureStore] = store
     dst = ping
-    with record("scale.propagate"):
+    with span("scale.propagate"):
         for hop in range(hops):
             src_arr = src._data if isinstance(src, FeatureStore) else src
             for start in range(0, n, chunk):

@@ -7,7 +7,7 @@ parts on connected graphs and degrades gracefully (round-robin of
 components) on disconnected ones.  The two quality numbers that matter
 downstream — edge-cut fraction (how much neighborhood sampling escapes a
 part) and balance (largest part / ideal size) — are surfaced both on the
-result object and as ``repro.perf`` gauges:
+result object and as ``repro.obs`` metrics:
 
 * ``scale.partition.edge_cut`` — fraction of undirected edges crossing parts,
 * ``scale.partition.balance`` — max part size over ``ceil(n / parts)``.
@@ -26,7 +26,7 @@ from typing import List
 import numpy as np
 import scipy.sparse as sp
 
-from ..perf import record, set_gauge
+from ..obs.tracer import emit_metric, span
 from .blocks import gather_rows
 
 __all__ = ["GraphPartition", "bfs_partition"]
@@ -106,7 +106,7 @@ def bfs_partition(adjacency: sp.csr_matrix, num_parts: int) -> GraphPartition:
     if num_parts < 1:
         raise ValueError("num_parts must be >= 1")
     num_parts = min(num_parts, max(n, 1))
-    with record("scale.partition"):
+    with span("scale.partition"):
         assignment = np.full(n, -1, dtype=np.int64)
         sizes = np.zeros(num_parts, dtype=np.int64)
         frontiers: List[np.ndarray] = [
@@ -141,8 +141,8 @@ def bfs_partition(adjacency: sp.csr_matrix, num_parts: int) -> GraphPartition:
         parts = [np.flatnonzero(assignment == p) for p in range(num_parts)]
         edge_cut = _edge_cut_fraction(adjacency, assignment)
         balance = (max(sizes.max(), 1) / ideal) if n else 1.0
-    set_gauge("scale.partition.edge_cut", float(edge_cut))
-    set_gauge("scale.partition.balance", float(balance))
+    emit_metric("scale.partition.edge_cut", float(edge_cut))
+    emit_metric("scale.partition.balance", float(balance))
     return GraphPartition(
         assignment=assignment, parts=parts,
         edge_cut=float(edge_cut), balance=float(balance),

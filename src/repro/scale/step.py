@@ -40,7 +40,7 @@ from ..core.config import E2GCLConfig
 from ..core.trainer import E2GCLTrainer
 from ..graphs import Graph
 from ..nn import GCN
-from ..perf import record, set_gauge
+from ..obs.tracer import emit_metric, span
 from .blocks import true_degrees
 from .feature_store import (
     DEFAULT_CHUNK_BUDGET,
@@ -324,8 +324,8 @@ class SampledTrainStep(E2GCLTrainer):
         else:
             views, samplers = None, None
         batches = self._epoch_batches()
-        set_gauge("scale.epoch.batches", float(len(batches)))
-        with record("scale.epoch"):
+        emit_metric("scale.epoch.batches", float(len(batches)))
+        with span("scale.epoch"):
             if len(batches) == 1:
                 # Exact fallback: report the single batch loss as-is so the
                 # dense trajectory comparison sees the identical float.

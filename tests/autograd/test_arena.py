@@ -170,17 +170,15 @@ class TestActivation:
             arena.disable()
         assert not arena.is_enabled()
 
-    def test_publish_stats_lands_in_perf_gauges(self):
-        from repro import perf
+    def test_engine_run_emits_arena_stats(self, tiny_cora):
+        """A run's pool counters go out as one ``engine.arena`` event."""
+        from repro.baselines import get_method
+        from repro.obs import Tracer
 
-        perf.reset()
-        pool = GradArena()
-        pool.release(pool.acquire((4, 4), np.float64))
-        stats = arena.publish_stats(pool)
-        assert stats["misses"] == 1 and stats["released"] == 1
-        assert perf.get_gauge("arena.pooled_buffers") == 1
-        assert perf.get_gauge("arena.pooled_bytes") == 4 * 4 * 8
-
-    def test_publish_stats_without_arena_is_noop(self):
-        assert arena.current() is None
-        assert arena.publish_stats() == {}
+        with Tracer() as tracer:
+            get_method("grace", epochs=2, embedding_dim=8, hidden_dim=16,
+                       seed=0).fit(tiny_cora)
+        (event,) = [e for e in tracer.events if e["name"] == "engine.arena"]
+        assert event["scope"] == "method.grace"
+        assert set(GradArena().stats()) <= set(event)
+        assert event["hits"] > 0

@@ -51,14 +51,6 @@ class TestRegistry:
 
 
 class TestInfoNCE:
-    def test_dense_matches_legacy_shim(self):
-        from repro.core.losses import infonce_loss
-
-        z1, z2 = _views()
-        a = InfoNCE(temperature=0.4).pair_loss(z1, z2)
-        b = infonce_loss(z1, z2, temperature=0.4)
-        assert float(a.item()) == float(b.item())
-
     def test_sampled_approaches_dense_as_k_grows(self):
         """With k = m-1 distinct negatives the subsampled denominator sees
         the same pair set as the dense loss (up to the positive's presence),
@@ -185,15 +177,6 @@ class TestMarginMining:
 
 
 class TestEuclidean:
-    def test_matches_legacy_shim(self):
-        from repro.core.losses import euclidean_contrastive_loss
-
-        z1, z2 = _views(m=14)
-        negs = sample_negative_indices(14, 5, np.random.default_rng(2))
-        a = Euclidean().pair_loss(z1, z2, negatives=negs)
-        b = euclidean_contrastive_loss(z1, z2, negs)
-        assert float(a.item()) == float(b.item())
-
     def test_requires_negatives(self):
         z1, z2 = _views()
         with pytest.raises(ValueError, match="needs sampled negatives"):

@@ -1,4 +1,9 @@
-"""Contrastive losses: Eq. 5 semantics, InfoNCE, negative sampling."""
+"""Contrastive losses: Eq. 5 semantics, InfoNCE, negative sampling.
+
+The paper's loss forms are :class:`repro.contrast.Euclidean` (Eq. 5) and
+:class:`repro.contrast.InfoNCE`; the two helpers below give them the
+function-style signatures these semantics tests are written against.
+"""
 
 import numpy as np
 import pytest
@@ -6,11 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.autograd import Tensor
-from repro.core import (
-    euclidean_contrastive_loss,
-    infonce_loss,
-    sample_negative_indices,
-)
+from repro.contrast import Euclidean, InfoNCE, sample_negative_indices
+
+
+def euclidean_contrastive_loss(h_hat, h_tilde, negatives, weights=None):
+    return Euclidean().pair_loss(h_hat, h_tilde, negatives=negatives,
+                                 weights=weights)
+
+
+def infonce_loss(h_hat, h_tilde, temperature=0.5, weights=None,
+                 symmetric=True):
+    objective = InfoNCE(temperature=temperature, symmetric=symmetric)
+    return objective.pair_loss(h_hat, h_tilde, weights=weights)
 
 
 def random_embeddings(rng, m=12, d=6):

@@ -1,4 +1,5 @@
-"""TimedCurve / CurvePoint semantics (the Fig. 3 series container).
+"""TimedCurve / CurvePoint semantics (the Fig. 3 series container) and
+the :class:`TimedEvalHook` that fills it on the engine's clock.
 
 ``TimedCurve.time_to_reach`` feeds the "time to reach X% accuracy"
 comparisons, so its edge semantics — first crossing, exact threshold,
@@ -6,10 +7,14 @@ empty/non-monotone curves — are pinned here.
 """
 
 import math
+import time
 
 import numpy as np
 
-from repro.eval import CurvePoint, TimedCurve, TimedEvaluator
+from repro.baselines import get_method
+from repro.engine import TimedEvalHook
+from repro.eval import CurvePoint, TimedCurve
+from repro.obs import Tracer
 
 
 def make_curve(pairs, label="e2gcl"):
@@ -67,42 +72,49 @@ class TestCurveSummaries:
         assert curve.time_to_reach(0.42) == 1.0
 
 
-class TestTimedEvaluator:
+FAST = dict(epochs=4, embedding_dim=8, hidden_dim=16, seed=0)
+
+
+def fit_timed(graph, every, embed_delay=0.0):
+    """A small GRACE fit with a :class:`TimedEvalHook`; ``embed_delay``
+    makes every probe cost at least that many seconds."""
+    method = get_method("grace", **FAST)
+
+    def embed():
+        time.sleep(embed_delay)
+        return method.embed(graph)
+
+    hook = TimedEvalHook(graph, embed, label="grace", every=every,
+                         eval_trials=1, decoder_epochs=5)
+    method.fit(graph, hooks=[hook])
+    return method.last_loop, hook
+
+
+class TestTimedEvalHook:
     def test_records_on_interval_only(self, tiny_cora):
-        rng = np.random.default_rng(0)
-        embeddings = rng.normal(size=(tiny_cora.num_nodes, 8))
-        evaluator = TimedEvaluator(
-            tiny_cora, lambda: embeddings, label="rand",
-            every=2, eval_trials=1, decoder_epochs=5).start()
-        for epoch in range(4):
-            evaluator(epoch)
-        assert [p.epoch for p in evaluator.curve.points] == [0, 2]
+        _, hook = fit_timed(tiny_cora, every=2)
+        assert [p.epoch for p in hook.curve.points] == [0, 2]
+        assert all(np.isfinite(p.accuracy) for p in hook.curve.points)
 
     def test_eval_overhead_excluded_from_clock(self, tiny_cora):
-        """Each point's seconds must exclude earlier probes' cost: the
-        recorded clock can only advance by (wall time minus probe time)."""
-        import time
-
-        rng = np.random.default_rng(0)
-        embeddings = rng.normal(size=(tiny_cora.num_nodes, 8))
-        evaluator = TimedEvaluator(
-            tiny_cora, lambda: embeddings, label="rand",
-            every=1, eval_trials=1, decoder_epochs=30).start()
+        """Each probe's cost is deducted from the run's clock, so the
+        recorded total trails the fit's wall time by at least the probes'
+        (sleep-padded) cost."""
+        delay = 0.05
         start = time.perf_counter()
-        for epoch in range(3):
-            evaluator(epoch)
+        loop, hook = fit_timed(tiny_cora, every=1, embed_delay=delay)
         wall = time.perf_counter() - start
-        points = evaluator.curve.points
-        assert len(points) == 3
-        assert points[-1].seconds <= wall
-        assert points[-1].seconds <= wall - evaluator._eval_overhead + 0.05
+        assert len(hook.curve.points) == FAST["epochs"]
+        assert loop.history.total_seconds <= wall - FAST["epochs"] * delay
 
-    def test_extra_seconds_shifts_curve(self, tiny_cora):
-        rng = np.random.default_rng(0)
-        embeddings = rng.normal(size=(tiny_cora.num_nodes, 8))
-        evaluator = TimedEvaluator(
-            tiny_cora, lambda: embeddings, label="rand",
-            every=1, eval_trials=1, decoder_epochs=5).start()
-        evaluator.extra_seconds = 100.0
-        evaluator(0)
-        assert evaluator.curve.points[0].seconds >= 100.0
+    def test_points_read_the_loop_clock(self, tiny_cora):
+        """Points carry the engine's per-epoch elapsed time, whose origin
+        precedes setup, so setup is on the curve with no separate offset."""
+        with Tracer() as tracer:
+            loop, hook = fit_timed(tiny_cora, every=1)
+        seconds = [p.seconds for p in hook.curve.points]
+        assert seconds == [r.elapsed_seconds for r in loop.history.records]
+        (setup,) = [e for e in tracer.events
+                    if e["type"] == "span" and e["name"] == "method.grace.setup"]
+        assert seconds[0] >= setup["seconds"]
+        assert all(b > a for a, b in zip(seconds, seconds[1:]))

@@ -1,11 +1,10 @@
 """Evaluation protocols: node classification, link prediction, graph
-classification, and the timed curve used by Fig. 3."""
+classification (the Fig. 3 timed curve lives in ``test_protocol.py``)."""
 
 import numpy as np
 import pytest
 
 from repro.eval import (
-    TimedEvaluator,
     evaluate_embeddings,
     evaluate_graph_classification,
     evaluate_link_prediction,
@@ -111,40 +110,3 @@ class TestGraphClassificationEval:
         graphs, labels = tu
         with pytest.raises(ValueError):
             evaluate_graph_classification(graphs, labels[:-1], lambda g: np.zeros((g.num_nodes, 2)))
-
-
-class TestTimedEvaluator:
-    def test_records_points_at_interval(self, tiny_cora):
-        encoder = GCN(tiny_cora.num_features, 8, 4, seed=0)
-        evaluator = TimedEvaluator(
-            tiny_cora, lambda: encoder.embed(tiny_cora), label="test",
-            every=2, eval_trials=1, decoder_epochs=20,
-        ).start()
-        for epoch in range(6):
-            evaluator(epoch)
-        assert [p.epoch for p in evaluator.curve.points] == [0, 2, 4]
-        assert all(np.isfinite(p.accuracy) for p in evaluator.curve.points)
-
-    def test_seconds_monotone(self, tiny_cora):
-        encoder = GCN(tiny_cora.num_features, 8, 4, seed=0)
-        evaluator = TimedEvaluator(
-            tiny_cora, lambda: encoder.embed(tiny_cora), label="t",
-            every=1, eval_trials=1, decoder_epochs=10,
-        ).start()
-        for epoch in range(4):
-            evaluator(epoch)
-        secs = [p.seconds for p in evaluator.curve.points]
-        assert all(b >= a for a, b in zip(secs, secs[1:]))
-
-    def test_curve_helpers(self, tiny_cora):
-        encoder = GCN(tiny_cora.num_features, 8, 4, seed=0)
-        evaluator = TimedEvaluator(
-            tiny_cora, lambda: encoder.embed(tiny_cora), label="t",
-            every=1, eval_trials=1, decoder_epochs=10,
-        ).start()
-        for epoch in range(3):
-            evaluator(epoch)
-        curve = evaluator.curve
-        assert curve.best_accuracy() >= curve.points[0].accuracy - 1e-12
-        assert curve.time_to_reach(2.0) is None  # accuracy can't reach 200%
-        assert curve.time_to_reach(0.0) is not None

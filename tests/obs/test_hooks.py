@@ -56,11 +56,6 @@ class TestTraceHook:
         assert "method.grace.setup" in spans
         assert "method.grace.epoch" in spans
 
-    def test_counter_deltas_on_stop(self, tiny_cora):
-        tracer = _fit_traced(tiny_cora)
-        counters = {e["name"] for e in tracer.events if e["type"] == "counter"}
-        assert "method.grace.epoch" in counters
-
     def test_stop_reason_marker(self, tiny_cora):
         tracer = _fit_traced(tiny_cora, extra_hooks=[StopAfter(0)])
         markers = [e for e in tracer.events if e["type"] == "event"]

@@ -20,13 +20,14 @@ EVENTS = [
     {"type": "span", "name": "epoch", "id": 3, "parent": 2, "depth": 1,
      "t_start": 0.5, "seconds": 0.2, "epoch": 0},
     {"type": "span", "name": "epoch", "id": 4, "parent": 2, "depth": 1,
-     "t_start": 0.7, "seconds": 0.4, "epoch": 1, "peak_bytes": 2048},
+     "t_start": 0.7, "seconds": 0.4, "epoch": 1},
     {"type": "span", "name": "run", "id": 2, "parent": None, "depth": 0,
      "t_start": 0.0, "seconds": 1.1},
     {"type": "metric", "name": "loss", "value": 2.0, "t": 0.7, "epoch": 0},
     {"type": "metric", "name": "loss", "value": 1.5, "t": 1.1, "epoch": 1},
     {"type": "metric", "name": "grad_norm", "value": 0.3, "t": 1.1, "epoch": 1},
     {"type": "metric", "name": "untagged", "value": 9.0, "t": 1.2},
+    # Written by older versions (a perf-counter bridge); now skipped.
     {"type": "counter", "name": "scope.epoch", "calls": 2, "seconds": 0.6,
      "peak_bytes": 0},
     {"type": "event", "name": "stop", "t": 1.1, "reason": "done"},
@@ -41,7 +42,6 @@ class TestSummarizeEvents:
         assert abs(epoch.total_seconds - 0.6) < 1e-12
         assert abs(epoch.max_seconds - 0.4) < 1e-12
         assert abs(epoch.mean_seconds - 0.3) < 1e-12
-        assert epoch.peak_bytes == 2048
         assert summary.num_events == len(EVENTS)
 
     def test_slowest_spans_order(self):
@@ -57,10 +57,15 @@ class TestSummarizeEvents:
         ]
 
     def test_manifest_counters_markers(self):
+        """Legacy ``counter`` events are skipped: they are neither spans,
+        metrics nor markers, and the event count still includes them."""
         summary = summarize_events(EVENTS)
         assert summary.manifest["seed"] == 3
-        assert summary.counters[0]["name"] == "scope.epoch"
+        assert "scope.epoch" not in summary.spans
+        assert "scope.epoch" not in summary.metrics
+        assert [m["name"] for m in summary.markers] == ["stop"]
         assert summary.markers[0]["reason"] == "done"
+        assert summary.num_events == len(EVENTS)
 
     def test_empty_stream(self):
         summary = summarize_events([])
@@ -104,7 +109,7 @@ class TestRenderSummary:
         assert "slowest spans" in text
         assert "per-epoch metrics" in text
         assert "loss" in text and "grad_norm" in text
-        assert "perf counters" in text
+        assert "scope.epoch" not in text
 
     def test_missing_manifest_flagged(self):
         text = render_summary(summarize_events(EVENTS[1:]))

@@ -1,5 +1,7 @@
-"""Tracer behaviour: span nesting, event shapes, activation, overhead."""
+"""Tracer behaviour: span nesting, event shapes, activation, threads,
+overhead."""
 
+import threading
 import time
 
 import numpy as np
@@ -8,7 +10,6 @@ import pytest
 from repro.obs import Tracer, current_tracer, emit_event, emit_metric, span
 from repro.obs.summary import read_events
 from repro.obs.tracer import _NOOP
-from repro.perf import record, report
 
 
 @pytest.fixture(autouse=True)
@@ -52,17 +53,18 @@ class TestSpans:
         assert event["t_start"] >= 0.0
 
     def test_metric_event_counter_manifest_shapes(self):
+        """Metric/event/manifest shapes; counter events are gone (span
+        aggregates in ``repro trace`` already carry calls and seconds)."""
         tracer = Tracer()
         tracer.metric("loss", np.float64(1.5), epoch=0)
         tracer.event("checkpoint", path="x.npz")
-        tracer.counter("scope.epoch", 3, 0.25)
         tracer.manifest({"seed": 7})
         kinds = [e["type"] for e in tracer.events]
-        assert kinds == ["metric", "event", "counter", "manifest"]
+        assert kinds == ["metric", "event", "manifest"]
         metric = tracer.events[0]
         assert metric["value"] == 1.5 and metric["epoch"] == 0 and metric["t"] >= 0
-        assert tracer.events[2]["calls"] == 3
-        assert tracer.events[3]["seed"] == 7
+        assert tracer.events[2]["seed"] == 7
+        assert not hasattr(tracer, "counter")
 
 
 class TestJsonlRoundTrip:
@@ -131,23 +133,96 @@ class TestActivation:
         assert kinds == ["event", "metric", "span"]
 
 
-class TestPerfBridge:
-    def test_record_scopes_become_spans(self):
-        with Tracer() as tracer:
-            with record("bridge.outer"):
-                with record("bridge.inner"):
-                    pass
-        names = [e["name"] for e in tracer.events]
-        assert names == ["bridge.inner", "bridge.outer"]
-        # The perf counters themselves still accumulated.
-        assert report()["bridge.outer"]["calls"] >= 1
+#: Span name -> parent span name of a traced E2GCL fit: the library's hot
+#: paths (selection, scores, view sampling, engine setup/epochs) open these
+#: through ``repro.obs.span``.
+E2GCL_SPAN_PARENTS = {
+    "trainer.setup": None,
+    "trainer.selection": "trainer.setup",
+    "selector.propagate": "trainer.selection",
+    "selector.cluster": "trainer.selection",
+    "selector.greedy": "trainer.selection",
+    "selector.assign": "trainer.selection",
+    "scores.compute_edge_scores": "trainer.setup",
+    "scores.compute_feature_scores": "trainer.setup",
+    "trainer.epoch": None,
+    "trainer.views": "trainer.epoch",
+    "view_generator.generate_global_view": "trainer.views",
+}
 
-    def test_record_without_tracer_emits_nothing(self):
-        probe = Tracer()  # never activated
-        with record("bridge.untraced"):
-            pass
-        assert probe.events == []
-        assert current_tracer() is None
+
+class TestLibrarySpans:
+    def test_e2gcl_fit_emits_hot_path_spans(self):
+        from repro.baselines import get_method
+        from repro.graphs import load_dataset
+
+        graph = load_dataset("cora", seed=0, scale=0.1)
+        with Tracer() as tracer:
+            get_method("e2gcl", epochs=2, seed=0).fit(graph)
+        spans = [e for e in tracer.events if e["type"] == "span"]
+        by_id = {e["id"]: e for e in spans}
+        parents = {e["name"]: by_id[e["parent"]]["name"]
+                   if e["parent"] is not None else None for e in spans}
+        assert parents == E2GCL_SPAN_PARENTS
+        names = [e["name"] for e in spans]
+        assert names.count("trainer.epoch") == 2
+        assert names.count("trainer.views") == 2
+
+
+class TestThreads:
+    ROUNDS = 3
+
+    def test_interleaved_threads_keep_their_own_nesting(self):
+        """Two threads open and close spans in lockstep on one tracer.
+
+        The barrier makes every open and close interleave with the other
+        thread's, so a stack shared across threads would hand spans the
+        other thread's span as parent and leave stale entries behind.
+        """
+        tracer = Tracer()
+        barrier = threading.Barrier(2)
+        leftover, errors = {}, []
+
+        def work(tag):
+            try:
+                for _ in range(self.ROUNDS):
+                    with tracer.span(f"{tag}.outer"):
+                        barrier.wait()
+                        with tracer.span(f"{tag}.inner"):
+                            barrier.wait()
+                        barrier.wait()
+                    barrier.wait()
+                leftover[tag] = len(tracer._thread_stack())
+            except BaseException as exc:  # surfaced in the main thread
+                errors.append(exc)
+                barrier.abort()
+
+        threads = [threading.Thread(target=work, args=(tag,))
+                   for tag in ("a", "b")]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not errors, errors
+        assert leftover == {"a": 0, "b": 0}
+
+        spans = [e for e in tracer.events if e["type"] == "span"]
+        assert len(spans) == 2 * 2 * self.ROUNDS
+        position = {e["id"]: i for i, e in enumerate(spans)}
+        by_id = {e["id"]: e for e in spans}
+        assert len(by_id) == len(spans)
+        for event in spans:
+            tag, kind = event["name"].split(".")
+            if kind == "outer":
+                assert event["parent"] is None and event["depth"] == 0
+                continue
+            parent = by_id[event["parent"]]
+            assert parent["name"] == f"{tag}.outer"
+            assert parent["thread"] == event["thread"]
+            assert event["depth"] == 1
+            # Children close (and are emitted) before their parents.
+            assert position[event["id"]] < position[parent["id"]]
+        assert len({e["thread"] for e in spans}) == 2
 
 
 class TestDisabledTracingOverhead:
@@ -169,24 +244,24 @@ class TestDisabledTracingOverhead:
     def test_disabled_overhead_under_five_percent(self, tiny_cora):
         """Projected cost of the no-op span sites is <5% of a smoke fit.
 
-        Every ``repro.perf.record`` call is a potential span site; with
-        tracing off each costs one global read.  We measure the fit, count
-        how many sites it actually hit, measure the per-call no-op cost,
-        and assert the product stays under the 5%% budget with room to
-        spare.
+        Every ``repro.obs.span`` call is a span site; with tracing off
+        each costs one global read.  We measure an untraced fit, count how
+        many sites the same fit hits from the span events of one traced
+        run, measure the per-call no-op cost, and assert the product stays
+        under the 5%% budget with room to spare.
         """
         from repro.baselines import get_method
 
-        before = report()
+        def fit():
+            get_method("grace", epochs=3, embedding_dim=8, hidden_dim=16,
+                       seed=0).fit(tiny_cora)
+
         t0 = time.perf_counter()
-        get_method("grace", epochs=3, embedding_dim=8, hidden_dim=16,
-                   seed=0).fit(tiny_cora)
+        fit()
         fit_seconds = time.perf_counter() - t0
-        after = report()
-        site_hits = sum(
-            stats["calls"] - before.get(name, {}).get("calls", 0)
-            for name, stats in after.items()
-        )
+        with Tracer() as tracer:
+            fit()
+        site_hits = sum(1 for e in tracer.events if e["type"] == "span")
         assert site_hits > 0
 
         n = 20_000

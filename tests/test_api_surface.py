@@ -15,7 +15,6 @@ PACKAGES = [
     "repro.baselines",
     "repro.eval",
     "repro.bench",
-    "repro.perf",
     "repro.obs",
 ]
 

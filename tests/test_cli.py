@@ -1,8 +1,14 @@
 """CLI smoke tests (fast paths only)."""
 
+import warnings
+
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.serialization import export_encoder
+from repro.engine import CHECKPOINT_VERSION, read_checkpoint
+from repro.graphs import load_dataset
 
 
 class TestParser:
@@ -51,13 +57,23 @@ class TestSelect:
 
 class TestTrain:
     def test_train_tiny(self, capsys, tmp_path):
-        code = main(["train", "--dataset", "cora", "--scale", "0.1",
-                     "--epochs", "2", "--trials", "1",
-                     "--save", str(tmp_path / "m.npz")])
+        """``--save`` writes a v2 engine checkpoint that rehydrates through
+        ``export_encoder``, without touching the deprecated v1 writer."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            code = main(["train", "--dataset", "cora", "--scale", "0.1",
+                         "--epochs", "2", "--trials", "1",
+                         "--save", str(tmp_path / "m.npz")])
         assert code == 0
         out = capsys.readouterr().out
         assert "accuracy" in out
-        assert (tmp_path / "m.npz").exists()
+        meta, _ = read_checkpoint(tmp_path / "m.npz")
+        assert meta["version"] == CHECKPOINT_VERSION
+        assert meta["epoch_next"] == 2
+        artifact = export_encoder(tmp_path / "m.npz")
+        assert artifact.kind == "gcn" and artifact.step_class == "E2GCLTrainer"
+        graph = load_dataset("cora", seed=0, scale=0.1)
+        assert np.isfinite(artifact.embed(graph)).all()
 
     def test_save_rejected_for_baselines(self, tmp_path, capsys):
         code = main(["train", "--dataset", "cora", "--scale", "0.1",

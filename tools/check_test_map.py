@@ -58,7 +58,6 @@ COVERED_BY: Dict[str, str] = {
     # Bench harness + experiment registry share a suite.
     "src/repro/bench/harness.py": "tests/test_bench_harness.py",
     "src/repro/bench/registry.py": "tests/test_bench_harness.py",
-    "src/repro/perf/counters.py": "tests/test_perf_counters.py",
 }
 
 #: Modules with no test file at all (keep this list short and justified).

@@ -23,6 +23,11 @@ regime microbatching amortizes):
   diag-sandwich products), emitting COO triplets that one
   ``csr_matrix`` call canonicalizes.
 
+Known nodes encode through :meth:`InductiveEncoder.encode_nodes`: one
+union L-hop block around all requested ids and one forward, so repairing
+a thousand stale rows after a graph mutation shares their overlapping
+neighborhoods instead of re-extracting an ego per row.
+
 Unseen nodes (:class:`EgoQuery`: features + neighbor ids) are spliced
 against the cached base graph: the query's L-hop neighborhood is the
 (L-1)-hop neighborhood of its declared neighbors, base degrees are bumped
@@ -215,14 +220,12 @@ class InductiveEncoder:
     # ------------------------------------------------------------------
     # Known nodes
     # ------------------------------------------------------------------
-    def _ego_block(self, node: int) -> _EgoBlock:
-        """Normalized triplets + h0 rows + local center for one ego."""
-        nodes = self._ego_nodes(np.array([node]), self.radius)
-        rows, cols, vals = self._sub_triplets(nodes)
-        rows, cols, vals = self._normalized_block(
-            rows, cols, vals, self._true_degrees()[nodes])
-        center = int(np.searchsorted(nodes, node))
-        return rows, cols, vals, self._layer0_transform()[nodes], center
+    def _out_of_range(self, value: int) -> UnknownNodeError:
+        return UnknownNodeError(
+            f"node {value} is outside the served graph "
+            f"(0..{self.graph.num_nodes - 1})",
+            node=value, num_nodes=self.graph.num_nodes,
+        )
 
     def _check_node(self, node) -> int:
         if isinstance(node, bool) or not isinstance(node, (int, np.integer)):
@@ -232,18 +235,45 @@ class InductiveEncoder:
             )
         value = int(node)
         if not 0 <= value < self.graph.num_nodes:
-            raise UnknownNodeError(
-                f"node {value} is outside the served graph "
-                f"(0..{self.graph.num_nodes - 1})",
-                node=value, num_nodes=self.graph.num_nodes,
-            )
+            raise self._out_of_range(value)
         return value
+
+    def _check_nodes(self, nodes) -> np.ndarray:
+        """Every id checked like :meth:`_check_node`, as an int64 vector."""
+        ids = np.asarray(nodes).ravel()
+        if ids.dtype == bool or not np.issubdtype(ids.dtype, np.integer):
+            for node in ids.tolist():
+                self._check_node(node)
+        ids = ids.astype(np.int64, copy=False)
+        bad = ids[(ids < 0) | (ids >= self.graph.num_nodes)]
+        if bad.size:
+            raise self._out_of_range(int(bad[0]))
+        return ids
+
+    def encode_nodes(self, nodes) -> np.ndarray:
+        """Embeddings of existing nodes, one row per id in the caller's order.
+
+        All ids share one union L-hop block around the unique seeds (the
+        exact-fanout :class:`repro.scale.NeighborSampler` construction):
+        every node within L - k hops of a seed has its full parent row in
+        the block, so each seed's row equals the full-graph forward while
+        overlapping neighborhoods are propagated once, not once per id.
+        """
+        ids = self._check_nodes(nodes)
+        with span("serve.inductive_encode", rows=int(ids.size)):
+            if ids.size == 0:
+                return np.empty((0, self.artifact.embedding_dim))
+            block = self._ego_nodes(ids, self.radius)
+            rows, cols, vals = self._sub_triplets(block)
+            rows, cols, vals = self._normalized_block(
+                rows, cols, vals, self._true_degrees()[block])
+            a_n = _blocks.block_csr(rows, cols, vals, block.size)
+            out = self._forward(a_n, self._layer0_transform()[block])
+            return out[np.searchsorted(block, ids)]
 
     def encode_node(self, node: int) -> np.ndarray:
         """Embedding of an existing node from its ego subgraph only."""
-        with span("serve.inductive_encode", node=int(node)):
-            block = self._ego_block(self._check_node(node))
-            return self._forward(self._block_csr(block), block[3])[block[4]]
+        return self.encode_nodes([node])[0]
 
     # ------------------------------------------------------------------
     # Unseen nodes

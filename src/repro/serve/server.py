@@ -172,9 +172,9 @@ class EmbeddingServer:
             health=self.health,
         )
         # Stale rows invalidated by a graph mutation heal through the
-        # inductive ego path — exact at the center, so a lazily refreshed
-        # row equals a full offline embed of the mutated graph.
-        self.store.set_row_computer(self._compute_row)
+        # inductive union-block path — exact at every seed, so a lazily
+        # repaired row equals a full offline embed of the mutated graph.
+        self.store.set_row_computer(self._compute_rows)
         self.probe_epochs = probe_epochs
         self.probe_seed = probe_seed
         self._encoders: Dict[str, InductiveEncoder] = {}
@@ -224,9 +224,9 @@ class EmbeddingServer:
             encoder.rebind_graph(graph, refreshed_rows=refreshed_nodes)
         emit_event("serve.server_rebind", num_nodes=graph.num_nodes)
 
-    def _compute_row(self, version_id: str, node: int) -> np.ndarray:
-        """Row computer installed into the store for stale-row refresh."""
-        return self._encoder(self.registry.get(version_id)).encode_node(node)
+    def _compute_rows(self, version_id: str, nodes: np.ndarray) -> np.ndarray:
+        """Row computer installed into the store for stale-row repair."""
+        return self._encoder(self.registry.get(version_id)).encode_nodes(nodes)
 
     def drain(self) -> dict:
         """Graceful shutdown: stop admitting, flush the batcher, persist.

@@ -25,7 +25,7 @@ import zipfile
 import zlib
 from collections import OrderedDict
 from pathlib import Path
-from typing import Callable, Dict, Optional, Set, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -86,12 +86,17 @@ class EmbeddingStore:
         self._lru: "OrderedDict[Tuple[str, int], np.ndarray]" = OrderedDict()
         self._lock = threading.Lock()
         self._compute_locks: Dict[str, threading.Lock] = {}
-        # Streaming state: rows invalidated by a blast radius, per version;
-        # the per-row recompute path (the server installs its inductive
-        # encoder); and whether the served graph has mutated since start
-        # (which disables on-disk snapshots — they describe the old graph).
-        self._stale: Dict[str, Set[int]] = {}
-        self._row_computer: Optional[Callable[[str, int], np.ndarray]] = None
+        # Streaming state: rows invalidated by a blast radius, per version,
+        # each mapped to the stamp of the latest invalidation that marked
+        # it (stamps only grow, so a repair can tell whether a row was
+        # re-invalidated while it was being computed); the batched
+        # recompute path (the server installs its inductive encoder); and
+        # whether the served graph has mutated since start (which disables
+        # on-disk snapshots — they describe the old graph).
+        self._stale: Dict[str, Dict[int, int]] = {}
+        self._stamp = 0
+        self._row_computer: Optional[
+            Callable[[str, np.ndarray], np.ndarray]] = None
         self._mutated = False
         if self.snapshot_dir is not None:
             self.snapshot_dir.mkdir(parents=True, exist_ok=True)
@@ -107,10 +112,11 @@ class EmbeddingStore:
         the live snapshot; callers must not mutate it.
 
         Rows invalidated by a graph mutation (:meth:`invalidate`) are
-        repaired before the matrix is handed out: through the registered
-        per-row computer when one exists — warm rows stay untouched
+        repaired before the matrix is handed out: by one call to the
+        registered row computer when one exists — warm rows stay untouched
         bit-for-bit — or by a full recompute on the current graph
-        otherwise.
+        otherwise.  A row invalidated again while the repair runs stays
+        stale and is repaired on a later read.
         """
         version = self.registry.get(version_id)
         vid = version.version_id
@@ -127,18 +133,15 @@ class EmbeddingStore:
         with compute_lock:
             with self._lock:
                 cached = self._snapshots.get(vid)
-                stale = sorted(self._stale.get(vid, ()))
-            if cached is not None and not stale:
+                pending = dict(self._stale.get(vid, {}))
+                stamp = self._stamp
+            if cached is not None and not pending:
                 return cached
             if cached is not None and self._row_computer is not None:
-                # Lazy repair: recompute only the stale rows in place; every
-                # other row of the resident matrix is left untouched.
-                for node in stale:
-                    cached[node] = np.asarray(self._row_computer(vid, node))
-                with self._lock:
-                    self._stale.pop(vid, None)
-                self.metrics.observe_stale_refresh(len(stale))
-                return cached
+                # Lazy repair: recompute only the stale rows, all in one
+                # call; every other row of the resident matrix is left
+                # untouched.
+                return self._repair(vid, pending, cached)[1]
             loaded = self._load_snapshot(version)
             if loaded is None:
                 try:
@@ -158,9 +161,13 @@ class EmbeddingStore:
                 self._persist_snapshot(version, loaded)
             with self._lock:
                 self._snapshots[vid] = loaded
-                # A full materialization ran on the *current* graph, so it
-                # is fresh by construction.
-                self._stale.pop(vid, None)
+                # A full materialization ran on the current graph, so it
+                # is fresh up to every invalidation made before it began.
+                stale = self._stale.get(vid, {})
+                for node in [n for n, s in stale.items() if s <= stamp]:
+                    del stale[node]
+                if not stale:
+                    self._stale.pop(vid, None)
         return loaded
 
     def _note_failure(self, version: ModelVersion, reason: str) -> None:
@@ -303,17 +310,21 @@ class EmbeddingStore:
         return written
 
     # ------------------------------------------------------------------
-    # Streaming: blast-radius invalidation + lazy per-row refresh
+    # Streaming: blast-radius invalidation + lazy batched repair
     # ------------------------------------------------------------------
     def set_row_computer(
-        self, fn: Optional[Callable[[str, int], np.ndarray]]
+        self, fn: Optional[Callable[[str, np.ndarray], np.ndarray]]
     ) -> None:
-        """Register the per-row recompute path for stale rows.
+        """Register the batched recompute path for stale rows.
 
-        ``fn(version_id, node) -> row`` must return exactly what a full
-        offline embed of the *current* graph would put in that row — the
-        server installs its :class:`InductiveEncoder` here, whose ego
-        forward is bit-identical to the full forward at the center node.
+        ``fn(version_id, nodes) -> rows`` takes an int64 vector of node
+        ids and returns a ``(len(nodes), d)`` matrix whose row ``i`` is
+        exactly what a full offline embed of the *current* graph puts in
+        row ``nodes[i]``.  A full :meth:`snapshot` repairs every stale row
+        of a version with one call; a stale single-row read passes one
+        id.  The server installs :meth:`InductiveEncoder.encode_nodes`
+        here, whose union-block forward equals the full forward at every
+        requested node.
         """
         self._row_computer = fn
 
@@ -348,10 +359,11 @@ class EmbeddingStore:
             resident = self._snapshots.get(vid)
             total = resident.shape[0] if resident is not None \
                 else self.graph.num_nodes
-            stale = self._stale.setdefault(vid, set())
-            stale.update(int(x) for x in nodes)
-            for x in nodes:
-                self._lru.pop((vid, int(x)), None)
+            self._stamp += 1
+            stale = self._stale.setdefault(vid, {})
+            stale.update(dict.fromkeys(nodes.tolist(), self._stamp))
+            for x in nodes.tolist():
+                self._lru.pop((vid, x), None)
             stale_now = len(stale)
         invalidated = int(nodes.size)
         preserved = max(int(total) - stale_now, 0)
@@ -374,39 +386,65 @@ class EmbeddingStore:
         with self._lock:
             self.graph = graph
             self._mutated = True
+            self._stamp += 1
             for vid, snap in list(self._snapshots.items()):
                 old_n = snap.shape[0]
                 if old_n < n:
                     pad = np.zeros((n - old_n, snap.shape[1]),
                                    dtype=snap.dtype)
                     self._snapshots[vid] = np.vstack([snap, pad])
-                    self._stale.setdefault(vid, set()).update(
-                        range(old_n, n))
+                    self._stale.setdefault(vid, {}).update(
+                        dict.fromkeys(range(old_n, n), self._stamp))
         self.metrics.observe_graph_rebind()
         emit_event("serve.graph_rebind", num_nodes=n)
+
+    def _repair(self, vid: str, pending: Dict[int, int],
+                fallback: Optional[np.ndarray] = None
+                ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Recompute ``pending`` rows in one call and heal the resident matrix.
+
+        ``pending`` maps each node to the stamp it was stale under when
+        the repair began.  Only rows still stale under that same stamp are
+        written back and cleared: a row re-invalidated while the row
+        computer ran was computed against superseded state, so it stays
+        stale for a later repair.  Returns the computed rows and the
+        matrix the fresh rows went into (the resident one, else
+        ``fallback``).
+        """
+        nodes = np.fromiter(sorted(pending), dtype=np.int64,
+                            count=len(pending))
+        with span("serve.stale_repair", version=vid, rows=int(nodes.size)):
+            rows = np.asarray(self._row_computer(vid, nodes))
+        with self._lock:
+            stale = self._stale.get(vid, {})
+            fresh = np.fromiter(
+                (stale.get(node) == pending[node] for node in nodes.tolist()),
+                dtype=bool, count=nodes.size)
+            target = self._snapshots.get(vid, fallback)
+            if target is not None:
+                target[nodes[fresh]] = rows[fresh]
+            for node in nodes[fresh].tolist():
+                del stale[node]
+            if not stale:
+                self._stale.pop(vid, None)
+        self.metrics.observe_stale_refresh(int(nodes.size))
+        return rows, target
 
     def _refresh_row(self, version: ModelVersion, node: int) -> np.ndarray:
         """Recompute one stale row (and heal the resident matrix)."""
         vid = version.version_id
-        fn = self._row_computer
-        if fn is None:
-            # No per-row path registered: fall back to a full recompute on
+        if self._row_computer is None:
+            # No row computer registered: fall back to a full recompute on
             # the current graph (standalone-store usage).
             with self._lock:
                 self._snapshots.pop(vid, None)
             return np.array(self.snapshot(vid)[node])
-        row = np.asarray(fn(vid, node))
         with self._lock:
-            resident = self._snapshots.get(vid)
-            if resident is not None:
-                resident[node] = row
-            stale = self._stale.get(vid)
-            if stale is not None:
-                stale.discard(node)
-                if not stale:
-                    self._stale.pop(vid, None)
-        self.metrics.observe_stale_refresh()
-        return np.array(row)
+            stamp = self._stale.get(vid, {}).get(node)
+        if stamp is None:  # a concurrent repair already healed the row
+            return np.array(self.snapshot(vid)[node])
+        rows, _ = self._repair(vid, {node: stamp})
+        return np.array(rows[0])
 
     # ------------------------------------------------------------------
     # Per-node reads (LRU front)
@@ -425,6 +463,7 @@ class EmbeddingStore:
             hit = None if is_stale else self._lru.get(key)
             if hit is not None:
                 self._lru.move_to_end(key)
+            stamp = self._stamp
         if hit is not None:
             self.metrics.observe_cache(True)
             return hit
@@ -434,10 +473,13 @@ class EmbeddingStore:
         else:
             row = np.array(self.snapshot(version.version_id)[node])
         with self._lock:
-            self._lru[key] = row
-            self._lru.move_to_end(key)
-            while len(self._lru) > self.cache_size:
-                self._lru.popitem(last=False)
+            # An invalidation since this read began may have superseded
+            # the row; caching it would outlive that row's repair.
+            if self._stamp == stamp:
+                self._lru[key] = row
+                self._lru.move_to_end(key)
+                while len(self._lru) > self.cache_size:
+                    self._lru.popitem(last=False)
         return row
 
     def _check_node(self, node_id) -> int:

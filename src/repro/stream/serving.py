@@ -15,8 +15,9 @@ owns a :class:`~repro.stream.mutable.MutableGraph` bound to a live
 3. invalidates exactly the radius in the
    :class:`~repro.serve.EmbeddingStore` for every registered version —
    rows outside stay untouched byte-for-byte, rows inside recompute
-   lazily through the inductive ego path on their next read;
-4. samples drifted nodes (pre-mutation snapshot row vs. recomputed row)
+   lazily, all of a version's stale rows in one union-block forward;
+4. when the active version is materialized, repairs its stale rows and
+   samples drifted nodes (pre-mutation snapshot row vs. repaired row)
    into the :class:`~repro.stream.drift.DriftDetector`.
 
 When the detector trips, :meth:`maybe_refresh` runs a
@@ -134,9 +135,12 @@ class StreamCoordinator:
         return {int(node): np.array(resident[int(node)]) for node in picked}
 
     def _observe_drift(self, before: Dict[int, np.ndarray]) -> dict:
-        for node, old_row in before.items():
-            new_row = self.server.store.embedding(node)
-            self.drift.observe(node, old_row, new_row)
+        if before:
+            # One batched repair heals the whole radius; the sampled rows
+            # are then plain reads of the healed matrix.
+            healed = self.server.store.snapshot()
+            for node, old_row in before.items():
+                self.drift.observe(node, old_row, healed[node])
         return self.drift.snapshot()
 
     # ------------------------------------------------------------------

@@ -16,6 +16,7 @@ from repro.serve import (
     MalformedQueryError,
     UnknownNodeError,
 )
+from repro.stream import Delta, MutableGraph
 
 
 @pytest.fixture
@@ -59,6 +60,8 @@ class TestKnownNodes:
             encoder.encode_node(tiny_cora.num_nodes)
         with pytest.raises(UnknownNodeError):
             encoder.encode_node(-3)
+        with pytest.raises(UnknownNodeError):
+            encoder.encode_node(True)
 
     def test_transductive_artifact_rejected(self, tiny_cora):
         table = EncoderArtifact(
@@ -67,6 +70,51 @@ class TestKnownNodes:
             fitted_nodes=tiny_cora.num_nodes)
         with pytest.raises(ValueError, match="transductive"):
             InductiveEncoder(table, tiny_cora)
+
+
+class TestUnionBlockEncoding:
+    """``encode_nodes``: one union L-hop block for many ids, rows in the
+    caller's order, each equal to the full-graph forward."""
+
+    def test_unsorted_and_duplicated_ids(self, encoder, offline_embeddings):
+        ids = np.array([17, 3, 17, 0, offline_embeddings.shape[0] - 1, 3])
+        rows = encoder.encode_nodes(ids)
+        assert rows.shape == (ids.size, offline_embeddings.shape[1])
+        np.testing.assert_allclose(rows, offline_embeddings[ids],
+                                   rtol=0, atol=1e-12)
+        for node, row in zip(ids.tolist(), rows):
+            assert np.array_equal(row, encoder.encode_node(node))
+
+    def test_added_node_after_rebind(self, registry, tiny_cora):
+        artifact = registry.get().artifact
+        encoder = InductiveEncoder(artifact, tiny_cora)
+        encoder.encode_nodes([0])  # warm the H0 cache the rebind patches
+        n = tiny_cora.num_nodes
+        mutable = MutableGraph(tiny_cora)
+        mutable.apply([
+            Delta(op="add_node", node=n,
+                  features=[0.25] * tiny_cora.num_features, seq=0),
+            Delta(op="add_edge", u=5, v=n, seq=1),
+            Delta(op="add_edge", u=n, v=40, seq=2),
+        ])
+        mutated = mutable.as_graph()
+        encoder.rebind_graph(mutated)
+        oracle = artifact.embed(mutated)
+        ids = np.array([n, 40, 5, n, 2])
+        rows = encoder.encode_nodes(ids)
+        np.testing.assert_allclose(rows, oracle[ids], rtol=0, atol=1e-12)
+        for node, row in zip(ids.tolist(), rows):
+            assert np.array_equal(row, encoder.encode_node(node))
+
+    def test_empty_request(self, encoder, offline_embeddings):
+        rows = encoder.encode_nodes(np.empty(0, dtype=np.int64))
+        assert rows.shape == (0, offline_embeddings.shape[1])
+
+    @pytest.mark.parametrize("bad", [[0, 10_000], [-1], [2, 7.5], ["3"],
+                                     [True]])
+    def test_invalid_ids_rejected(self, encoder, bad):
+        with pytest.raises(UnknownNodeError):
+            encoder.encode_nodes(bad)
 
 
 class TestUnseenNodes:

@@ -1,10 +1,14 @@
 """EmbeddingStore: bit-identity, LRU behavior, snapshot crash recovery."""
 
+import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from repro.obs import Tracer
 from repro.resilience import FaultPlan
 from repro.serve import (
     EmbeddingStore,
@@ -263,3 +267,171 @@ class TestInvalidation:
         healed = store.snapshot()
         assert store.stale_rows(version_id) == []
         assert np.array_equal(healed, offline_embeddings)
+
+
+def recording_computer(offline):
+    """A row computer serving offline rows that logs every id vector."""
+    calls = []
+
+    def compute(version_id, nodes):
+        calls.append(np.array(nodes))
+        return offline[nodes]
+
+    return calls, compute
+
+
+class TestBatchedRepair:
+    """Stale rows heal through one row-computer call per repair, while the
+    refresh metric keeps counting rows."""
+
+    STALE = [0, 5, 9, 42, 100]
+
+    def test_full_snapshot_repairs_every_stale_row_in_one_call(
+            self, registry, tiny_cora, offline_embeddings):
+        metrics = ServeMetrics()
+        store = EmbeddingStore(registry, tiny_cora, metrics=metrics)
+        version_id = registry.get().version_id
+        store.snapshot()
+        store.invalidate(version_id, self.STALE)
+        calls, compute = recording_computer(offline_embeddings)
+        store.set_row_computer(compute)
+        healed = store.snapshot()
+        assert [c.tolist() for c in calls] == [self.STALE]
+        assert calls[0].dtype == np.int64
+        assert np.array_equal(healed, offline_embeddings)
+        assert store.stale_rows(version_id) == []
+        stats = metrics.snapshot()["streaming"]
+        assert stats["stale_refreshes"] == len(self.STALE)
+
+    def test_stale_single_row_read_passes_one_id(
+            self, registry, tiny_cora, offline_embeddings):
+        metrics = ServeMetrics()
+        store = EmbeddingStore(registry, tiny_cora, metrics=metrics)
+        version_id = registry.get().version_id
+        store.snapshot()
+        store.invalidate(version_id, [3, 7])
+        calls, compute = recording_computer(offline_embeddings)
+        store.set_row_computer(compute)
+        assert np.array_equal(store.embedding(7), offline_embeddings[7])
+        assert [c.tolist() for c in calls] == [[7]]
+        assert store.stale_rows(version_id) == [3]
+        assert metrics.snapshot()["streaming"]["stale_refreshes"] == 1
+
+    def test_traced_repair_emits_one_span(self, store, registry,
+                                          offline_embeddings):
+        version_id = registry.get().version_id
+        store.snapshot()
+        store.invalidate(version_id, self.STALE)
+        store.set_row_computer(recording_computer(offline_embeddings)[1])
+        with Tracer() as tracer:
+            store.snapshot()
+        repairs = [e for e in tracer.events
+                   if e.get("name") == "serve.stale_repair"]
+        assert len(repairs) == 1
+        assert repairs[0]["rows"] == len(self.STALE)
+
+
+class TestStaleRaces:
+    """Deterministic reproductions of writers racing a repair: a row that
+    is invalidated while the row computer runs was computed against
+    superseded state, so it must stay stale."""
+
+    def invalidating_computer(self, store, offline, nodes, offset=0.0):
+        """Row computer whose first call re-invalidates ``nodes`` (and
+        returns rows shifted by ``offset``, i.e. superseded values)."""
+        calls = []
+
+        def compute(version_id, ids):
+            first = not calls
+            calls.append(ids)
+            if first:
+                store.invalidate(version_id, nodes)
+                return offline[ids] + offset
+            return offline[ids]
+
+        return compute
+
+    def test_snapshot_keeps_rows_invalidated_mid_repair(
+            self, store, registry, offline_embeddings):
+        version_id = registry.get().version_id
+        store.snapshot()
+        store.invalidate(version_id, [1, 2, 3])
+        store.set_row_computer(self.invalidating_computer(
+            store, offline_embeddings, [2, 50]))
+        store.snapshot()
+        assert store.stale_rows(version_id) == [2, 50]
+        assert np.array_equal(store.snapshot(), offline_embeddings)
+        assert store.stale_rows(version_id) == []
+
+    def test_single_row_read_keeps_row_invalidated_mid_refresh(
+            self, store, registry, offline_embeddings):
+        version_id = registry.get().version_id
+        store.snapshot()
+        store.invalidate(version_id, [4])
+        store.set_row_computer(self.invalidating_computer(
+            store, offline_embeddings, [4]))
+        store.embedding(4)
+        assert store.stale_rows(version_id) == [4]
+
+    def test_superseded_row_never_reaches_the_lru(
+            self, store, registry, offline_embeddings):
+        """The read that raced the invalidation may return its row, but
+        must not cache it: after the repair the LRU would serve it."""
+        version_id = registry.get().version_id
+        store.snapshot()
+        store.invalidate(version_id, [4])
+        store.set_row_computer(self.invalidating_computer(
+            store, offline_embeddings, [4], offset=1.0))
+        store.embedding(4)
+        store.snapshot()
+        assert store.stale_rows(version_id) == []
+        assert np.array_equal(store.embedding(4), offline_embeddings[4])
+
+    def test_stress_writers_racing_batched_repairs(
+            self, registry, tiny_cora, offline_embeddings):
+        """Writers "mutate" rows (bump a per-row version, then invalidate)
+        while readers and full-snapshot repairs race them.  The row
+        computer serves ``offline + version``, so once the writers stop,
+        one snapshot must leave every row — resident and LRU — at its
+        latest version: a lost stale mark or a superseded LRU entry would
+        leave an older one."""
+        store = EmbeddingStore(registry, tiny_cora, cache_size=64)
+        version_id = registry.get().version_id
+        store.snapshot()
+        n = tiny_cora.num_nodes
+        versions = np.zeros(n)
+        guard = threading.Lock()
+
+        def compute(_, nodes):
+            with guard:
+                bumped = versions[nodes].copy()
+            time.sleep(0.001)  # a real forward takes time writers can use
+            return offline_embeddings[nodes] + bumped[..., None]
+
+        store.set_row_computer(compute)
+
+        def write(k):
+            nodes = [(7 * k) % n, (7 * k + 3) % n]
+            with guard:
+                versions[nodes] = k + 1
+            store.invalidate(version_id, nodes)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = []
+                for k in range(60):
+                    futures.append(pool.submit(write, k))
+                    futures.append(pool.submit(store.embedding, (5 * k) % n))
+                    if k % 5 == 0:
+                        futures.append(pool.submit(store.snapshot))
+                for future in futures:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        expected = offline_embeddings + versions[:, None]
+        assert np.array_equal(store.snapshot(), expected)
+        assert store.stale_rows(version_id) == []
+        for node in range(n):
+            assert np.array_equal(store.embedding(node), expected[node])

@@ -12,10 +12,10 @@ Measures, per shape tier (forward + backward each time):
   donate/transpose-cache work), and the *fused* ``spmm_bias_act``;
 * **float32 vs float64** — the fused GCN-propagate kernel at both
   precisions (same shapes, same graph);
-* **arena on vs off** — a small two-layer training graph stepped
-  repeatedly with and without the gradient buffer pool: wall time,
-  per-step transient allocation peak (tracemalloc), and the pool's own
-  hit/miss counters.
+* **backward memory** — a small two-layer training graph stepped
+  repeatedly: wall time and the per-step transient allocation peak
+  (tracemalloc), which ``Tensor.backward`` bounds by dropping each
+  intermediate gradient once its closure has consumed it.
 
 Multi-MB timings are hostage to glibc allocator state (dynamic mmap
 threshold, heap trimming), so every section runs in its own subprocess
@@ -30,9 +30,9 @@ Writes ``BENCH_autograd.json`` at the repo root and
 
 ``REPRO_BENCH_TRIALS`` controls repetitions (best-of, default 5).
 
-The exit status gates the PR's headline claims: fused ``spmm_bias_act``
-must beat the seed chain by >= 1.5x on the GCN-layer tier, and the
-arena must cut the per-step transient allocation peak.
+The exit status gates two claims: fused ``spmm_bias_act`` must beat the
+seed chain by >= 1.5x on the GCN-layer tier, and the backward-memory
+step's transient peak must stay within 10% of :data:`PEAK_REFERENCE_BYTES`.
 """
 
 from __future__ import annotations
@@ -49,9 +49,8 @@ from typing import Callable, List, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from repro.autograd import Tensor, arena, ops
+from repro.autograd import Tensor, ops
 from repro.autograd import default_dtype
-from repro.autograd.functional import cosine_similarity_matrix
 from repro.bench import bench_trials
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -68,11 +67,16 @@ SPMM_TIERS: List[Tuple[str, int, int, int]] = [
     ("wide", 3000, 256, 4),
 ]
 
-#: (label, rows, feature dim) for the dense/cosine kernels.
+#: (label, rows, feature dim) for the dense-layer kernel.
 DENSE_TIERS: List[Tuple[str, int, int]] = [
     ("small", 500, 32),
     ("large", 2000, 128),
 ]
+
+#: Per-step transient peak (bytes) of the backward-memory step, as first
+#: recorded when backward passes recycled their gradient buffers through a
+#: pool.  Dropping consumed gradients must keep the peak within 10% of it.
+PEAK_REFERENCE_BYTES = 8_357_643
 
 
 def _warm_allocator() -> None:
@@ -198,38 +202,6 @@ def bench_linear_tier(label: str, n: int, d: int, trials: int) -> dict:
     }
 
 
-def bench_cosine_tier(label: str, n: int, d: int, trials: int) -> dict:
-    rng = np.random.default_rng(0)
-    a = rng.normal(size=(n, d))
-    b = rng.normal(size=(n, d))
-    seed = rng.normal(size=(n, n))
-    reps = max(3, min(20, 2_000_000 // (n * n)))
-
-    def unfused():
-        ta = Tensor(a, requires_grad=True)
-        tb = Tensor(b, requires_grad=True)
-        ops.matmul(
-            ops.l2_normalize_rows(ta), ops.transpose(ops.l2_normalize_rows(tb))
-        ).backward(seed)
-
-    def fused():
-        ta = Tensor(a, requires_grad=True)
-        tb = Tensor(b, requires_grad=True)
-        cosine_similarity_matrix(ta, tb).backward(seed)
-
-    unfused_s = _best_of(unfused, trials, reps)
-    fused_s = _best_of(fused, trials, reps)
-    return {
-        "op": "normalize_cosine_sim",
-        "label": label,
-        "rows": n,
-        "dim": d,
-        "unfused_seconds": unfused_s,
-        "fused_seconds": fused_s,
-        "speedup": unfused_s / max(fused_s, 1e-12),
-    }
-
-
 def bench_dtype(trials: int) -> List[dict]:
     """Fused GCN-propagate kernel at float32 vs float64."""
     results = []
@@ -258,7 +230,7 @@ def bench_dtype(trials: int) -> List[dict]:
     return results
 
 
-def _arena_step_factory(n: int = 2000, d_in: int = 64, d_hidden: int = 64):
+def _gcn_step_factory(n: int = 2000, d_in: int = 64, d_hidden: int = 64):
     """A two-layer fused training graph, the shape of one GCN forward."""
     rng = np.random.default_rng(0)
     adj = sp.random(n, n, density=4 / n, random_state=1, format="csr")
@@ -280,67 +252,38 @@ def _arena_step_factory(n: int = 2000, d_in: int = 64, d_hidden: int = 64):
     return step
 
 
-def bench_arena(trials: int, steps: int = 30) -> dict:
-    """Wall time and steady-state allocation profile, pool on vs off.
+def bench_backward_memory(trials: int, steps: int = 30, window: int = 10) -> dict:
+    """Wall time and steady-state transient allocation peak of one step.
 
     tracemalloc only tracks *live* blocks, so a snapshot diff misses
     transient churn entirely; the meaningful measure is the per-step
     transient **peak** (``peak - current_before``) in steady state — the
-    bytes the step had to allocate on top of what stays live — plus the
-    pool's own hit/miss counters (every hit is a gradient-buffer
-    allocation the pool absorbed).
+    bytes the step had to allocate on top of what stays live.
     """
-    step = _arena_step_factory()
+    step = _gcn_step_factory()
 
-    def run_no_arena():
+    def run():
         for _ in range(steps):
             step()
 
-    def run_with_arena():
-        with arena.active_arena():
-            for _ in range(steps):
-                step()
-
-    no_arena_s = _best_of(run_no_arena, trials, 1) / steps
-    with_arena_s = _best_of(run_with_arena, trials, 1) / steps
-
-    def transient_peak(window: int = 10) -> float:
-        """Mean transient peak bytes per step over a steady-state window."""
-        step()  # warm (pool population, allocator)
-        peaks = []
-        for _ in range(window):
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            step()
-            peaks.append(tracemalloc.get_traced_memory()[1] - before)
-        return sum(peaks) / len(peaks)
+    seconds = _best_of(run, trials, 1) / steps
 
     tracemalloc.start()
-    plain_peak = transient_peak()
-    pool = arena.GradArena()
-    with arena.active_arena(arena=pool):
-        pooled_peak = transient_peak()
-        stats = pool.stats()
+    step()  # warm the allocator
+    peaks = []
+    for _ in range(window):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        step()
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
     tracemalloc.stop()
 
-    window_allocs = stats["hits"] + stats["misses"]
     return {
         "steps": steps,
         "graph": "2-layer fused GCN-shaped graph (n=2000, d=64)",
-        "no_arena_seconds_per_step": no_arena_s,
-        "arena_seconds_per_step": with_arena_s,
-        "speedup": no_arena_s / max(with_arena_s, 1e-12),
-        "transient_peak_bytes_no_arena": plain_peak,
-        "transient_peak_bytes_arena": pooled_peak,
-        "transient_peak_reduction": (
-            1.0 - pooled_peak / plain_peak if plain_peak else 0.0
-        ),
-        "grad_buffer_requests": window_allocs,
-        "grad_buffer_allocations": stats["misses"],
-        "grad_buffer_hit_rate": (
-            stats["hits"] / window_allocs if window_allocs else 0.0
-        ),
-        "pool_stats": stats,
+        "seconds_per_step": seconds,
+        "transient_peak_bytes": sum(peaks) / len(peaks),
+        "peak_bound_bytes": 1.10 * PEAK_REFERENCE_BYTES,
     }
 
 
@@ -356,13 +299,10 @@ def run_section(name: str, trials: int):
     if name == "linear":
         return [bench_linear_tier(label, n, d, trials)
                 for label, n, d in DENSE_TIERS]
-    if name == "cosine":
-        return [bench_cosine_tier(label, n, d, trials)
-                for label, n, d in DENSE_TIERS]
     if name == "dtype":
         return bench_dtype(trials)
-    if name == "arena":
-        return bench_arena(trials)
+    if name == "backward_memory":
+        return bench_backward_memory(trials)
     raise ValueError(f"unknown section {name!r}")
 
 
@@ -381,13 +321,9 @@ def run_autograd() -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
     }
-    results["fused"] = (
-        _section_subprocess("spmm")
-        + _section_subprocess("linear")
-        + _section_subprocess("cosine")
-    )
+    results["fused"] = _section_subprocess("spmm") + _section_subprocess("linear")
     results["dtype"] = _section_subprocess("dtype")
-    results["arena"] = _section_subprocess("arena")
+    results["backward_memory"] = _section_subprocess("backward_memory")
     return results
 
 
@@ -414,24 +350,14 @@ def render_autograd(results: dict) -> str:
             + f" | {row['float32_seconds'] * 1e3:>8.3f}"
             + f" | {row['speedup']:.2f}x"
         )
-    a = results["arena"]
+    m = results["backward_memory"]
     lines.append("")
-    lines.append(f"arena ({a['graph']}, {a['steps']} steps):")
-    lines.append(
-        f"  per-step: {a['no_arena_seconds_per_step'] * 1e3:.3f} ms off, "
-        f"{a['arena_seconds_per_step'] * 1e3:.3f} ms on ({a['speedup']:.2f}x)"
-    )
+    lines.append(f"backward memory ({m['graph']}, {m['steps']} steps):")
+    lines.append(f"  per-step: {m['seconds_per_step'] * 1e3:.3f} ms")
     lines.append(
         f"  transient peak per step (tracemalloc): "
-        f"{a['transient_peak_bytes_no_arena'] / 1e6:.2f} MB off, "
-        f"{a['transient_peak_bytes_arena'] / 1e6:.2f} MB on "
-        f"({a['transient_peak_reduction'] * 100:.0f}% less)"
-    )
-    lines.append(
-        f"  grad-buffer requests served from pool: "
-        f"{a['pool_stats']['hits']}/{a['grad_buffer_requests']} "
-        f"({a['grad_buffer_hit_rate'] * 100:.0f}% hit rate; "
-        f"{a['grad_buffer_allocations']} allocations)"
+        f"{m['transient_peak_bytes'] / 1e6:.2f} MB "
+        f"(bound {m['peak_bound_bytes'] / 1e6:.2f} MB)"
     )
     return "\n".join(lines)
 
@@ -454,17 +380,14 @@ def main() -> int:
         if r["op"] == "spmm_bias_act" and r["label"] == "gcn-layer"
     )
     ok_speed = gcn_tier["speedup_vs_seed"] >= 1.5
-    ok_alloc = (
-        results["arena"]["transient_peak_bytes_arena"]
-        < results["arena"]["transient_peak_bytes_no_arena"]
-    )
+    memory = results["backward_memory"]
+    ok_alloc = memory["transient_peak_bytes"] <= memory["peak_bound_bytes"]
     print(("[OK ] " if ok_speed else "[MISS] ")
           + f"fused spmm_bias_act {gcn_tier['speedup_vs_seed']:.2f}x vs seed chain "
           f"({gcn_tier['speedup']:.2f}x vs current unfused ops) on gcn-layer")
     print(("[OK ] " if ok_alloc else "[MISS] ")
-          + f"arena cuts per-step transient peak by "
-          f"{results['arena']['transient_peak_reduction'] * 100:.0f}% "
-          f"({results['arena']['grad_buffer_hit_rate'] * 100:.0f}% pool hit rate)")
+          + f"backward transient peak {memory['transient_peak_bytes'] / 1e6:.2f} MB "
+          f"<= {memory['peak_bound_bytes'] / 1e6:.2f} MB")
     return 0 if (ok_speed and ok_alloc) else 1
 
 

@@ -161,26 +161,13 @@ def aggregate_autograd() -> bool:
             label, row["float64_seconds"] * 1e3, row["float32_seconds"] * 1e3,
             row["speedup"],
         ))
-    a = data["arena"]
+    m = data["backward_memory"]
     lines.append("")
-    lines.append("arena (%s, %d steps):" % (a["graph"], a["steps"]))
-    lines.append("  per-step: %.3f ms off, %.3f ms on (%.2fx)" % (
-        a["no_arena_seconds_per_step"] * 1e3,
-        a["arena_seconds_per_step"] * 1e3, a["speedup"],
-    ))
+    lines.append("backward memory (%s, %d steps):" % (m["graph"], m["steps"]))
+    lines.append("  per-step: %.3f ms" % (m["seconds_per_step"] * 1e3))
     lines.append(
-        "  transient peak per step (tracemalloc): %.2f MB off, %.2f MB on "
-        "(%.0f%% less)" % (
-            a["transient_peak_bytes_no_arena"] / 1e6,
-            a["transient_peak_bytes_arena"] / 1e6,
-            a["transient_peak_reduction"] * 100,
-        )
-    )
-    lines.append(
-        "  grad-buffer requests served from pool: %d/%d (%.0f%% hit rate; "
-        "%d allocations)" % (
-            a["pool_stats"]["hits"], a["grad_buffer_requests"],
-            a["grad_buffer_hit_rate"] * 100, a["grad_buffer_allocations"],
+        "  transient peak per step (tracemalloc): %.2f MB (bound %.2f MB)" % (
+            m["transient_peak_bytes"] / 1e6, m["peak_bound_bytes"] / 1e6,
         )
     )
     RESULTS.mkdir(exist_ok=True)

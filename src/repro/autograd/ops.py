@@ -9,7 +9,7 @@ The operation set is exactly what the reproduced models need: elementwise
 arithmetic, dense and sparse matmul, activations, softmax/log-softmax,
 reductions, row indexing/gathering, concatenation, row normalization, and
 dropout — plus the fused hot-composition kernels (``spmm_bias_act``,
-``linear_act``, ``normalize_cosine_sim``/``normalize_cosine_rowwise``)
+``linear_act``, ``normalize_cosine_sim_gather``/``normalize_cosine_rowwise``)
 that collapse the graph-convolution, dense-layer, and contrastive-
 similarity chains into one op each.  Every fused kernel computes the same
 floats in the same order as its unfused composition, so adopting one is
@@ -18,9 +18,10 @@ graph bookkeeping (see docs/PERFORMANCE.md).
 
 Backward closures donate freshly computed gradient arrays to
 ``Tensor._accumulate_grad(..., donate=True)`` so first-touch accumulation
-takes ownership instead of copying, and — with the
-:mod:`repro.autograd.arena` enabled — intermediate gradient buffers are
-pooled across steps.
+takes ownership instead of copying.  A closure owns the ``grad`` it
+receives (:meth:`Tensor.backward` drops it afterwards), so the elementwise
+ops on the dense-loss path (``sub``, ``mul``, ``exp``) hand that array on,
+or overwrite it in place, instead of allocating a new one.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 import scipy.sparse as sp
 
-from . import arena as _arena
 from .tensor import Tensor, ensure_tensor
 
 ArrayOrTensor = Union[Tensor, np.ndarray, float, int]
@@ -72,40 +72,6 @@ def _make(
     return Tensor(data, requires_grad=True, parents=parents, backward_fn=backward_fn)
 
 
-def _mul_into(parent: Tensor, x, y) -> np.ndarray:
-    """``x * y`` destined for ``parent``'s gradient.
-
-    With the arena active the product is written straight into a pooled
-    buffer (``out=``), so steady-state backward passes recycle the same
-    arrays instead of allocating fresh ones.  Only intermediate parents
-    whose gradient needs no un-broadcast reduction qualify — leaf
-    (parameter) gradients outlive the pass and must never hold pooled
-    memory.  Values are bit-identical either way (same ufunc).
-    """
-    pool = _arena.current()
-    if pool is not None and parent._backward_fn is not None:
-        shape = np.broadcast_shapes(np.shape(x), np.shape(y))
-        if shape == parent.data.shape:
-            return np.multiply(x, y, out=pool.acquire(shape, parent.data.dtype))
-    return x * y
-
-
-def _matmul_into(parent: Tensor, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``x @ y`` destined for ``parent``'s gradient; pooled like :func:`_mul_into`."""
-    pool = _arena.current()
-    if (
-        pool is not None
-        and parent._backward_fn is not None
-        and x.ndim == 2
-        and y.ndim == 2
-        and (x.shape[0], y.shape[1]) == parent.data.shape
-        and x.dtype == y.dtype == parent.data.dtype
-    ):
-        out = pool.acquire(parent.data.shape, parent.data.dtype)
-        return np.matmul(x, y, out=out)
-    return x @ y
-
-
 # ----------------------------------------------------------------------
 # Elementwise arithmetic
 # ----------------------------------------------------------------------
@@ -128,7 +94,7 @@ def sub(a: ArrayOrTensor, b: ArrayOrTensor) -> Tensor:
 
     def backward(grad: np.ndarray) -> None:
         if a.requires_grad:
-            a._accumulate_grad(grad)
+            a._accumulate_grad(grad, donate=True)
         if b.requires_grad:
             b._accumulate_grad(-grad, donate=True)
 
@@ -140,10 +106,11 @@ def mul(a: ArrayOrTensor, b: ArrayOrTensor) -> Tensor:
     out_data = a.data * b.data
 
     def backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate_grad(_mul_into(a, grad, b.data), donate=True)
+        # ``b`` first: ``a``'s gradient is then written over ``grad``.
         if b.requires_grad:
-            b._accumulate_grad(_mul_into(b, grad, a.data), donate=True)
+            b._accumulate_grad(grad * a.data, donate=True)
+        if a.requires_grad:
+            a._accumulate_grad(np.multiply(grad, b.data, out=grad), donate=True)
 
     return _make(out_data, (a, b), backward)
 
@@ -188,7 +155,7 @@ def exp(a: ArrayOrTensor) -> Tensor:
 
     def backward(grad: np.ndarray) -> None:
         if a.requires_grad:
-            a._accumulate_grad(_mul_into(a, grad, out_data), donate=True)
+            a._accumulate_grad(np.multiply(grad, out_data, out=grad), donate=True)
 
     return _make(out_data, (a,), backward)
 
@@ -231,7 +198,7 @@ def relu(a: ArrayOrTensor) -> Tensor:
 
     def backward(grad: np.ndarray) -> None:
         if a.requires_grad:
-            a._accumulate_grad(_mul_into(a, grad, mask), donate=True)
+            a._accumulate_grad(grad * mask, donate=True)
 
     return _make(out_data, (a,), backward)
 
@@ -243,9 +210,7 @@ def leaky_relu(a: ArrayOrTensor, negative_slope: float = 0.01) -> Tensor:
 
     def backward(grad: np.ndarray) -> None:
         if a.requires_grad:
-            a._accumulate_grad(
-                _mul_into(a, grad, np.where(mask, 1.0, negative_slope)), donate=True
-            )
+            a._accumulate_grad(grad * np.where(mask, 1.0, negative_slope), donate=True)
 
     return _make(out_data, (a,), backward)
 
@@ -261,9 +226,7 @@ def sigmoid(a: ArrayOrTensor) -> Tensor:
 
     def backward(grad: np.ndarray) -> None:
         if a.requires_grad:
-            a._accumulate_grad(
-                _mul_into(a, grad * out_data, 1.0 - out_data), donate=True
-            )
+            a._accumulate_grad(grad * out_data * (1.0 - out_data), donate=True)
 
     return _make(out_data, (a,), backward)
 
@@ -274,7 +237,7 @@ def tanh(a: ArrayOrTensor) -> Tensor:
 
     def backward(grad: np.ndarray) -> None:
         if a.requires_grad:
-            a._accumulate_grad(_mul_into(a, grad, 1.0 - out_data ** 2), donate=True)
+            a._accumulate_grad(grad * (1.0 - out_data ** 2), donate=True)
 
     return _make(out_data, (a,), backward)
 
@@ -287,9 +250,7 @@ def elu(a: ArrayOrTensor, alpha: float = 1.0) -> Tensor:
 
     def backward(grad: np.ndarray) -> None:
         if a.requires_grad:
-            a._accumulate_grad(
-                _mul_into(a, grad, np.where(mask, 1.0, expm1 + alpha)), donate=True
-            )
+            a._accumulate_grad(grad * np.where(mask, 1.0, expm1 + alpha), donate=True)
 
     return _make(out_data, (a,), backward)
 
@@ -303,7 +264,7 @@ def softmax(a: ArrayOrTensor, axis: int = -1) -> Tensor:
     def backward(grad: np.ndarray) -> None:
         if a.requires_grad:
             dot = (grad * out_data).sum(axis=axis, keepdims=True)
-            a._accumulate_grad(_mul_into(a, out_data, grad - dot), donate=True)
+            a._accumulate_grad(out_data * (grad - dot), donate=True)
 
     return _make(out_data, (a,), backward)
 
@@ -331,9 +292,9 @@ def matmul(a: ArrayOrTensor, b: ArrayOrTensor) -> Tensor:
 
     def backward(grad: np.ndarray) -> None:
         if a.requires_grad:
-            a._accumulate_grad(_matmul_into(a, grad, b.data.T), donate=True)
+            a._accumulate_grad(grad @ b.data.T, donate=True)
         if b.requires_grad:
-            b._accumulate_grad(_matmul_into(b, a.data.T, grad), donate=True)
+            b._accumulate_grad(a.data.T @ grad, donate=True)
 
     return _make(out_data, (a, b), backward)
 
@@ -420,11 +381,7 @@ def index(a: ArrayOrTensor, idx) -> Tensor:
 
     def backward(grad: np.ndarray) -> None:
         if a.requires_grad:
-            pool = _arena.current()
-            if pool is not None:
-                full = pool.acquire(a.data.shape, a.data.dtype, zero=True)
-            else:
-                full = np.zeros_like(a.data)
+            full = np.zeros_like(a.data)
             np.add.at(full, idx, grad)
             a._accumulate_grad(full, donate=True)
 
@@ -496,7 +453,7 @@ def dropout(a: ArrayOrTensor, rate: float, rng: np.random.Generator, training: b
 
     def backward(grad: np.ndarray) -> None:
         if a.requires_grad:
-            a._accumulate_grad(_mul_into(a, grad, mask), donate=True)
+            a._accumulate_grad(grad * mask, donate=True)
 
     return _make(out_data, (a,), backward)
 
@@ -652,42 +609,11 @@ def linear_act(
         if bias_t is not None and bias_t.requires_grad:
             bias_t._accumulate_grad(g)
         if x.requires_grad:
-            x._accumulate_grad(_matmul_into(x, g, weight.data.T), donate=True)
+            x._accumulate_grad(g @ weight.data.T, donate=True)
         if weight.requires_grad:
-            weight._accumulate_grad(_matmul_into(weight, x.data.T, g), donate=True)
+            weight._accumulate_grad(x.data.T @ g, donate=True)
 
     return _make(out_data, parents, backward)
-
-
-def normalize_cosine_sim(a: ArrayOrTensor, b: ArrayOrTensor, eps: float = 1e-12) -> Tensor:
-    """Fused row-normalize + pairwise cosine similarity ``a_n @ b_n.T``.
-
-    Replaces ``matmul(l2_normalize_rows(a), transpose(l2_normalize_rows(b)))``
-    — the kernel under every contrastive similarity matrix — with one node,
-    skipping two normalized intermediates and their ``(n, d)`` gradient
-    buffers.  Bit-identical to the unfused chain.
-    """
-    a, b = ensure_tensor(a), ensure_tensor(b)
-    a_norms = np.maximum(np.linalg.norm(a.data, axis=1, keepdims=True), eps)
-    a_n = a.data / a_norms
-    b_norms = np.maximum(np.linalg.norm(b.data, axis=1, keepdims=True), eps)
-    b_n = b.data / b_norms
-    out_data = a_n @ b_n.T
-
-    def backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            g_an = grad @ b_n
-            dot = (g_an * a_n).sum(axis=1, keepdims=True)
-            a._accumulate_grad((g_an - a_n * dot) / a_norms, donate=True)
-        if b.requires_grad:
-            # The C-contiguous copy mirrors the unfused transpose
-            # backward's accumulation, keeping the row reduction below
-            # bit-identical to the chained version.
-            g_bn = (a_n.T @ grad).T.copy()
-            dot = (g_bn * b_n).sum(axis=1, keepdims=True)
-            b._accumulate_grad((g_bn - b_n * dot) / b_norms, donate=True)
-
-    return _make(out_data, (a, b), backward)
 
 
 def normalize_cosine_sim_gather(
@@ -700,8 +626,8 @@ def normalize_cosine_sim_gather(
 
     ``out[i, j] = cos(a[i], b[cols[i, j]])`` for an ``(m, k)`` integer
     index matrix ``cols`` — the O(n·k) kernel under every *subsampled*
-    contrastive objective.  Equivalent to gathering ``k`` rows of the full
-    ``normalize_cosine_sim(a, b)`` matrix per anchor without ever
+    contrastive objective.  Equivalent to gathering ``k`` entries per row of
+    the full ``functional.cosine_similarity_matrix(a, b)`` without ever
     materializing the O(n²) similarities: forward work and every gradient
     buffer are O(m·k·d).  Duplicate column indices accumulate gradients,
     matching :func:`gather_rows` semantics.
@@ -723,16 +649,12 @@ def normalize_cosine_sim_gather(
             dot = (g_an * a_n).sum(axis=1, keepdims=True)
             a._accumulate_grad((g_an - a_n * dot) / a_norms, donate=True)
         if b.requires_grad:
-            pool = _arena.current()
-            if pool is not None and b._backward_fn is not None:
-                g_bn = pool.acquire(b.data.shape, b.data.dtype, zero=True)
-            else:
-                g_bn = np.zeros_like(b.data)
+            g_bn = np.zeros_like(b.data)
             contrib = grad[:, :, None] * a_n[:, None, :]          # (m, k, d)
             np.add.at(g_bn, cols.reshape(-1), contrib.reshape(-1, a_n.shape[1]))
             dot = (g_bn * b_n).sum(axis=1, keepdims=True)
-            # Finish in place so the (possibly pooled) scatter buffer is the
-            # array donated to the accumulator — same ufuncs, same floats.
+            # Finish in place so the scatter buffer is the array donated to
+            # the accumulator — same ufuncs, same floats.
             np.subtract(g_bn, b_n * dot, out=g_bn)
             np.divide(g_bn, b_norms, out=g_bn)
             b._accumulate_grad(g_bn, donate=True)

@@ -18,9 +18,14 @@ Design notes
   :func:`repro.autograd.ops.spmm`; graph structure never requires gradients
   in any model of the paper.
 
-The engine is intentionally eager and minimal: there is no graph retention
-across backward calls, no higher-order gradients, and no in-place op
-tracking, none of which are needed by the models reproduced here.
+* Like PyTorch, only leaves keep their gradients: once a node's closure has
+  consumed its ``grad``, :meth:`Tensor.backward` drops it, so a backward
+  pass holds at most the gradients still waiting to be propagated.  The
+  root keeps its (accumulated) gradient too.
+
+The engine is intentionally eager and minimal: there are no higher-order
+gradients and no in-place op tracking, neither of which the models
+reproduced here need.
 """
 
 from __future__ import annotations
@@ -29,8 +34,6 @@ from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-
-from . import arena as _arena
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
@@ -208,25 +211,23 @@ class Tensor:
         if self.grad is None:
             if donate and grad.base is None and grad.flags.writeable:
                 self.grad = grad
-                return
-            pool = _arena.current()
-            if pool is not None and self._backward_fn is not None:
-                buffer = pool.acquire(grad.shape, grad.dtype)
-                np.copyto(buffer, grad)
-                self.grad = buffer
             else:
                 self.grad = grad.copy()
         else:
             self.grad += grad
-            if donate:
-                # The donated temporary was consumed by the in-place add;
-                # hand it to the pool instead of dropping it on the floor.
-                pool = _arena.current()
-                if pool is not None:
-                    pool.release(grad)
 
     def backward(self, grad: Optional[ArrayLike] = None) -> None:
         """Backpropagate from this tensor through the recorded graph.
+
+        Each call adds exactly one gradient of this tensor into every leaf
+        reached (``requires_grad`` tensors without a backward closure,
+        e.g. :class:`~repro.autograd.module.Parameter`) and into this
+        tensor's own :attr:`grad`.  Every other node's :attr:`grad` is
+        ``None`` afterwards: it holds only this call's contributions while
+        the pass runs and is dropped once its closure has consumed it, so
+        the closure owns the array and may overwrite it.  Repeated calls,
+        on the same graph or on graphs sharing intermediates, accumulate
+        like one call on the summed objective.
 
         Parameters
         ----------
@@ -240,30 +241,28 @@ class Tensor:
                     "backward() without an explicit gradient requires a scalar "
                     f"tensor; got shape {self.shape}"
                 )
-            # The seed is freshly built, so the root can take ownership
-            # outright (donate) instead of round-tripping the arena — the
-            # root's grad outlives the pass, so pooling it would leak one
-            # buffer per step.
             seed = np.ones_like(self.data)
         else:
-            # Private copy (first-touch accumulation always copied anyway)
-            # so the root can own it without aliasing the caller's array.
+            # Private copy: the closures may overwrite it.
             seed = np.array(grad, dtype=self.data.dtype)
 
-        order = self._topological_order()
-        self._accumulate_grad(seed, donate=True)
-        pool = _arena.current()
-        for node in reversed(order):
+        inner = self._topological_order()[:-1]  # post-order: self comes last
+        # Intermediates start empty, so a grad left on one (say, by an
+        # earlier call that used it as the root) cannot leak into this pass.
+        for node in inner:
+            if node._backward_fn is not None:
+                node.grad = None
+        # The root keeps a copy; the seed itself goes to the root's closure,
+        # which (like every closure) may overwrite the array it receives.
+        self._accumulate_grad(seed)
+        if self._backward_fn is not None:
+            self._backward_fn(seed)
+        for node in reversed(inner):
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
-                # Reverse topological order guarantees every consumer of
-                # this node has already contributed to its grad, and the
-                # closure above was its only reader — the buffer can go
-                # straight back to the pool.  The root keeps its grad
-                # (callers inspect ``loss.grad`` after ``backward``).
-                if pool is not None and node is not self:
-                    pool.release(node.grad)
-                    node.grad = None
+                # Reverse topological order: every consumer has already
+                # contributed, and the closure was the grad's only reader.
+                node.grad = None
 
     def _topological_order(self) -> List["Tensor"]:
         """Iterative post-order DFS (avoids recursion limits on deep graphs)."""

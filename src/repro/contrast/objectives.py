@@ -207,7 +207,7 @@ class JSD(Objective):
         m = z1.shape[0]
         pos = ops.normalize_cosine_rowwise(z1, z2)                      # (m,)
         if negatives is None:
-            sims = ops.normalize_cosine_sim(z1, z2)                     # (m, m)
+            sims = functional.cosine_similarity_matrix(z1, z2)          # (m, m)
             mask = ~np.eye(m, dtype=bool)
             neg = ops.index(sims, np.where(mask))                       # (m·(m−1),)
         else:
@@ -326,7 +326,7 @@ class MarginMining(Objective):
         w = _normalize_weights(weights, m)
         pos = ops.normalize_cosine_rowwise(z1, z2)                      # (m,)
         if negatives is None:
-            sims = ops.normalize_cosine_sim(z1, z2)                     # (m, m)
+            sims = functional.cosine_similarity_matrix(z1, z2)          # (m, m)
             mask = ~np.eye(m, dtype=bool)
             hinge = ops.relu(
                 ops.add(ops.sub(sims, ops.reshape(pos, (m, 1))), self.margin)

@@ -24,26 +24,49 @@ One loop owns everything method-agnostic about pre-training:
   bit-identically;
 * **span scoping** — setup and epochs run inside ``<scope>.setup`` /
   ``<scope>.epoch`` spans of the active :mod:`repro.obs` tracer;
-* **gradient buffer pooling** — the loop runs with the
-  :mod:`repro.autograd.arena` active (bit-identical numerics), so every
-  backward pass in the run recycles its intermediate gradient buffers;
-  pool counters land in an ``engine.arena`` event at the end of the run.
+* **array reuse across steps** — a run first tunes glibc's allocator so
+  the multi-MB arrays every step frees are reused by the next step
+  instead of being unmapped and faulted in again.
 """
 
 from __future__ import annotations
 
+import ctypes
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Optional, Union
 
 from ..autograd import Adam
-from ..autograd import arena as _arena
-from ..obs.tracer import emit_event, span
+from ..obs.tracer import span
 from .checkpoint import restore_loop, save_checkpoint
 from .history import EpochRecord, RunHistory
 from .rng import RngStreams
 from .step import TrainStep
+
+
+#: glibc ``mallopt`` parameters (``<malloc.h>``).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_arrays_mapped() -> None:
+    """Let glibc reuse freed multi-MB arrays instead of unmapping them.
+
+    Every training step allocates and frees the same multi-MB activations
+    and gradients.  With glibc's defaults many of those blocks go back to
+    the kernel when freed (``munmap``, heap trimming), and the next step
+    pays page faults to map and zero them again.  Serving blocks up to
+    32 MB from the heap and keeping up to 256 MB of free heap mapped lets
+    the next step reuse them.  The setting lasts for the rest of the
+    process.  A no-op where ``mallopt`` is unavailable.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
 
 
 @dataclass
@@ -99,10 +122,6 @@ class TrainLoop:
     resume_from:
         Optional v2 checkpoint path; the run continues from its saved
         epoch with restored parameters, optimizer slots, and RNG states.
-    grad_arena:
-        Pool intermediate gradient buffers across the run's backward
-        passes (default on; numerically a no-op, skips per-step
-        allocator churn).
     """
 
     def __init__(
@@ -118,7 +137,6 @@ class TrainLoop:
         seed: int = 0,
         scope: str = "engine",
         resume_from: Optional[Union[str, Path]] = None,
-        grad_arena: bool = True,
     ) -> None:
         if epochs < 0:
             raise ValueError("epochs must be non-negative")
@@ -144,9 +162,6 @@ class TrainLoop:
         self._resume_from = Path(resume_from) if resume_from is not None else None
         self._t0: Optional[float] = None
         self._excluded_seconds = 0.0
-        self.grad_arena: Optional[_arena.GradArena] = (
-            _arena.GradArena() if grad_arena else None
-        )
 
     # ------------------------------------------------------------------
     # Clock
@@ -215,15 +230,7 @@ class TrainLoop:
     # ------------------------------------------------------------------
     def run(self) -> RunHistory:
         """Execute the run; returns the (possibly resumed) history."""
-        if self.grad_arena is not None:
-            with _arena.active_arena(arena=self.grad_arena):
-                history = self._run()
-            emit_event("engine.arena", scope=self.scope,
-                       **self.grad_arena.stats())
-            return history
-        return self._run()
-
-    def _run(self) -> RunHistory:
+        _keep_freed_arrays_mapped()
         self._t0 = time.perf_counter()
         self._excluded_seconds = 0.0
         for hook in self.hooks:

@@ -112,8 +112,6 @@ OP_CASES = [
      lambda x, w, b: ops.linear_act(x, w, bias=b, activation="relu"), [A, B.T.copy(), BIAS3]),
     ("linear_act/plain",
      lambda x, w, b: ops.linear_act(x, w, bias=b), [A, B.T.copy(), BIAS3]),
-    ("normalize_cosine_sim",
-     lambda a, b: ops.normalize_cosine_sim(a, b), [NONZERO_ROWS, POS]),
     ("normalize_cosine_rowwise",
      lambda a, b: ops.normalize_cosine_rowwise(a, b), [NONZERO_ROWS, POS]),
     # Gathered similarity: rows of ``a`` against sampled columns of ``b``

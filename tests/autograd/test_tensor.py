@@ -96,6 +96,93 @@ class TestBackward:
         assert c.grad is None
 
 
+def _two_layer_problem(seed=0):
+    rng = np.random.default_rng(seed)
+    w1 = Tensor(rng.normal(size=(6, 5)), requires_grad=True)
+    w2 = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+    x = Tensor(rng.normal(size=(8, 6)))
+    return w1, w2, x
+
+
+def _two_layer_loss(w1, w2, x):
+    """A small graph exercising matmul/relu/mul/sum backwards."""
+    out = ops.matmul(ops.relu(ops.matmul(x, w1)), w2)
+    return ops.sum(ops.mul(out, out))
+
+
+class TestBackwardContract:
+    """Only leaves and the root keep gradients; every call adds one gradient."""
+
+    def test_shared_intermediates_match_summed_loss(self):
+        w1, w2, x = _two_layer_problem()
+        h = ops.relu(ops.matmul(x, w1))
+        ops.sum(ops.mul(h, h)).backward()
+        ops.sum(ops.matmul(h, w2)).backward()
+
+        v1, v2, _ = _two_layer_problem()
+        g = ops.relu(ops.matmul(x, v1))
+        ops.add(ops.sum(ops.mul(g, g)), ops.sum(ops.matmul(g, v2))).backward()
+
+        np.testing.assert_allclose(w1.grad, v1.grad, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(w2.grad, v2.grad, rtol=1e-12, atol=1e-12)
+
+    def test_same_graph_twice_adds_one_gradient(self):
+        w1, w2, x = _two_layer_problem()
+        loss = _two_layer_loss(w1, w2, x)
+        loss.backward()
+        once = w1.grad.copy()
+        loss.backward()
+        np.testing.assert_allclose(w1.grad, 2.0 * once, rtol=1e-12)
+        assert loss.grad == pytest.approx(2.0)
+
+    def test_only_leaves_and_root_keep_grads(self):
+        w1, w2, x = _two_layer_problem()
+        pre = ops.matmul(x, w1)
+        h = ops.relu(pre)
+        out = ops.matmul(h, w2)
+        loss = ops.sum(ops.mul(out, out))
+        loss.backward()
+        assert all(t.grad is None for t in (pre, h, out))
+        assert w1.grad is not None and w2.grad is not None
+        assert loss.grad == pytest.approx(1.0)
+
+    def test_caller_seed_and_root_grad_stay_intact(self):
+        """Closures may overwrite the grad they receive; that must never
+        reach the caller's seed array or the root's kept gradient."""
+        x = Tensor(np.linspace(-1.0, 1.0, 6).reshape(2, 3), requires_grad=True)
+        y = ops.exp(ops.sub(ops.mul(x, 2.0), 0.5))
+        seed = np.arange(6.0).reshape(2, 3)
+        y.backward(seed)
+        np.testing.assert_array_equal(seed, np.arange(6.0).reshape(2, 3))
+        np.testing.assert_array_equal(y.grad, seed)
+        np.testing.assert_allclose(x.grad, 2.0 * seed * y.data, rtol=1e-12)
+
+    def test_earlier_root_grad_does_not_leak(self):
+        w1, w2, x = _two_layer_problem()
+        inner = _two_layer_loss(w1, w2, x)
+        inner.backward()
+        w1.zero_grad()
+        (inner * 3.0).backward()
+
+        v1, v2, _ = _two_layer_problem()
+        (_two_layer_loss(v1, v2, x) * 3.0).backward()
+        np.testing.assert_allclose(w1.grad, v1.grad, rtol=1e-12)
+
+    def test_leaf_grads_never_alias(self):
+        w1, w2, x = _two_layer_problem()
+        _two_layer_loss(w1, w2, x).backward()
+        assert w1.grad is not None and w2.grad is not None
+        assert not np.shares_memory(w1.grad, w2.grad)
+        assert not np.shares_memory(w1.grad, w1.data)
+
+    def test_leaf_grads_accumulate_over_two_fresh_graphs(self):
+        w1, w2, x = _two_layer_problem()
+        _two_layer_loss(w1, w2, x).backward()
+        once = w1.grad.copy()
+        _two_layer_loss(w1, w2, x).backward()
+        np.testing.assert_array_equal(w1.grad, 2.0 * once)
+
+
 class TestBroadcasting:
     def test_unbroadcast_row(self):
         grad = np.ones((4, 3))

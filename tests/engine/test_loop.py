@@ -93,6 +93,26 @@ def test_no_optimizer_for_parameterless_steps():
     assert history.losses == [3.0, 2.0, 1.0]
 
 
+def test_run_tunes_allocator_before_setup(monkeypatch):
+    """Each run sets the allocator policy before the step's own setup."""
+    from repro.engine import loop as loop_module
+
+    calls = []
+    monkeypatch.setattr(loop_module, "_keep_freed_arrays_mapped",
+                        lambda: calls.append("mallopt"))
+    step = ScriptedStep([1.0])
+    step.prepare = lambda loop: calls.append("prepare")
+    TrainLoop(step, epochs=1).run()
+    assert calls == ["mallopt", "prepare"]
+
+
+def test_allocator_tuning_is_safe_to_repeat():
+    from repro.engine.loop import _keep_freed_arrays_mapped
+
+    _keep_freed_arrays_mapped()
+    _keep_freed_arrays_mapped()
+
+
 def test_hooks_fire_in_list_order():
     log = []
     hooks = [RecordingHook("a", log), RecordingHook("b", log)]

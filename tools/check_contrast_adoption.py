@@ -12,9 +12,9 @@ signature of a hand-rolled similarity loss:
 
 * any ``logsumexp`` call — the dense-InfoNCE denominator primitive, or
 * an ``exp``/``log`` call whose argument expression contains a
-  similarity-producing call (``matmul``, ``normalize_cosine_sim``,
-  ``normalize_cosine_sim_gather``, ``normalize_cosine_rowwise``,
-  ``bilinear_scores``) — i.e. exponentiating similarity scores inline.
+  similarity-producing call (``matmul``, ``normalize_cosine_sim_gather``,
+  ``normalize_cosine_rowwise``, ``bilinear_scores``) — i.e.
+  exponentiating similarity scores inline.
 
 Plain ``exp``/``log`` over non-similarity expressions passes: VGAE's
 reparameterisation ``exp(logvar/2)``, DeepWalk's sigmoid helper, and the
@@ -47,7 +47,6 @@ LOGSUMEXP_NAMES = ("logsumexp",)
 #: Calls that produce similarity scores; exp/log over these is a loss.
 SIMILARITY_CALLS = (
     "matmul",
-    "normalize_cosine_sim",
     "normalize_cosine_sim_gather",
     "normalize_cosine_rowwise",
     "bilinear_scores",

@@ -1,9 +1,12 @@
 """Alg. 2 — greedy coreset selection."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.core import (
+    E2GCLConfig,
     RepresentativityObjective,
     build_cluster_model,
     recommended_sample_size,
@@ -100,6 +103,82 @@ class TestQuality:
         large = select_coreset(graph, budget=40, num_clusters=10, sample_size=40,
                                rng=np.random.default_rng(11))
         assert large.representativity < small.representativity
+
+
+def _digest(array, dtype):
+    """First 16 hex digits of the sha256 of ``array``'s little-endian bytes."""
+    raw = np.ascontiguousarray(np.asarray(array, dtype=dtype)).tobytes()
+    return hashlib.sha256(raw).hexdigest()[:16]
+
+
+class TestGoldenSelection:
+    """Bit-exact pins of Alg. 2's output at the paper's selection settings.
+
+    Any change to the gain kernel's arithmetic that flips a greedy argmax,
+    or to ``add``'s bookkeeping that moves a realized gain by one ulp,
+    shows up here.  The digests cover the full ``selected`` / ``weights``
+    / ``gains`` arrays; the readable prefixes make a failure easier to read.
+    """
+
+    # seed: (selected[:5], selected, weights, gains, gains[0], representativity)
+    GOLDEN = {
+        0: ([116, 74, 141, 37, 68], "b883bef15c5092b6", "e5e787af5f8815fc",
+            "e410525792428c24", "0x1.40c0a1f89affdp+9", "0x1.3ebe084cc64d0p+6"),
+        1: ([116, 3, 37, 74, 10], "c25b34576c8acd5b", "a3e2fa5bfdac1ccf",
+            "fb01871008020e13", "0x1.52dcb50a380cfp+9", "0x1.391b3afc5b1a1p+6"),
+        2: ([116, 3, 37, 150, 74], "263167afeef4744a", "ae8fb8b0f0d07e54",
+            "c0c964cb3c28ad0a", "0x1.604c9d11b587bp+9", "0x1.36ee2572d6f40p+6"),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN))
+    def test_default_config_selection_is_pinned(self, graph, seed):
+        cfg = E2GCLConfig()
+        result = select_coreset(
+            graph, budget=cfg.budget_for(graph.num_nodes),
+            num_clusters=cfg.num_clusters, sample_size=cfg.sample_size,
+            hops=cfg.num_layers, rng=np.random.default_rng(seed),
+        )
+        head, selected, weights, gains, first_gain, cost = self.GOLDEN[seed]
+        assert result.selected[:5].tolist() == head
+        assert _digest(result.selected, "<i8") == selected
+        assert _digest(result.weights, "<f8") == weights
+        assert _digest(result.gains, "<f8") == gains
+        assert float(result.gains[0]).hex() == first_gain
+        assert float(result.representativity).hex() == cost
+
+    def test_exact_tie_takes_lowest_index(self, graph):
+        """Node 0 is given node 116's ``R`` row (116 wins round one on the
+        unmodified graph).  Their gains tie bit for bit, and the greedy
+        argmax keeps the first candidate of the tie, so node 0 is picked."""
+        r = propagated_features(graph, 2).copy()
+        r[0] = r[116]
+        model = build_cluster_model(r, 60, rng=np.random.default_rng(0))
+        gains = RepresentativityObjective(model).marginal_gains(
+            np.arange(graph.num_nodes))
+        assert gains[0] == gains[116] == gains.max()
+        result = select_coreset(graph, budget=20, num_clusters=60,
+                                sample_size=300, rng=np.random.default_rng(0),
+                                r=r, cluster_model=model)
+        assert result.selected[0] == 0
+        assert 116 not in result.selected
+
+    def test_duplicate_rows_tie_every_round(self):
+        """Every node has a twin with the same ``R`` row; twins' gains stay
+        bit-equal in every round and the lower index always wins."""
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            half = rng.normal(size=(13, 4))
+            model = build_cluster_model(np.vstack([half, half]), 4, rng=rng)
+            objective = RepresentativityObjective(model)
+            for _ in range(8):
+                pool = np.setdiff1d(np.arange(26), objective.selected)
+                gains = np.full(26, np.nan)
+                gains[pool] = objective.marginal_gains(pool)
+                both = np.isin(np.arange(13), pool) & np.isin(np.arange(13, 26), pool)
+                np.testing.assert_array_equal(gains[:13][both], gains[13:][both])
+                best = int(pool[np.argmax(gains[pool])])
+                assert best < 13
+                objective.add(best)
 
 
 class TestDegradation:

@@ -11,12 +11,13 @@ Given the propagated features ``R = A_n^L X`` and a KMeans partition
 round, so this module maintains the objective incrementally:
 
 * ``eff[v]`` — each node's current covering cost under ``V_s``;
-* per-cluster sorted copies of ``eff`` with prefix sums, so the cross-cluster
-  relaxation term of a candidate is evaluated in ``O(log |C_i|)`` per cluster
-  instead of ``O(|C_i|)``.
+* one cluster-ordered view of the nodes (``members`` concatenated, plus the
+  start offset of every non-empty cluster), so the cross-cluster relaxation
+  term of a whole candidate batch is one ``(m, n)`` pass followed by a
+  segmented ``np.add.reduceat`` — no padding and no python loop per cluster.
 
-A candidate's gain is then ``O(|C_j| + n_c log n)`` where ``j`` is its own
-cluster — matching the complexity budget in the paper's Sec. III-C.
+A candidate's gain is then ``O(n)`` with a small constant: an exact pass over
+its own cluster ``C_j`` plus one relaxation per node outside it.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ def build_cluster_model(
     k = centers.shape[0]
     members = [np.flatnonzero(assignments == i) for i in range(k)]
 
-    # ||R[v] - c_i|| for all v, i (chunked matmul keeps memory bounded).
+    # ||R[v] - c_i|| for all v, i via the ||a||^2 - 2ab + ||b||^2 expansion.
     center_sq = (centers ** 2).sum(axis=1)
     node_sq = (r ** 2).sum(axis=1)
     cross = r @ centers.T
@@ -104,49 +105,10 @@ def build_cluster_model(
     )
 
 
-class _ClusterCostMatrix:
-    """Per-cluster ``eff`` values in one padded matrix.
-
-    Supports the *batched* query ``gains(t) = [Σ_{v ∈ C_i} max(0, eff[v] − t_i)]_i``
-    — how much each cluster's covering cost would drop if relaxation
-    threshold ``t_i`` became available to it — as a single vectorized
-    ``O(n)`` expression.  (An earlier sorted-prefix-sum variant was
-    ``O(log |C_i|)`` per cluster but paid a python-level call per cluster
-    per candidate, which dominated selection time on larger graphs.)
-
-    Each node's fixed slot ``(row, column) = (cluster, rank-in-cluster)`` is
-    precomputed, so a greedy ``add`` scatters only the entries whose ``eff``
-    actually dropped instead of refilling the whole padded matrix.
-    """
-
-    _PAD = -np.inf  # pads contribute max(0, -inf - t) = 0
-
-    def __init__(self, eff: np.ndarray, members: List[np.ndarray]) -> None:
-        self._members = members
-        width = max((m.size for m in members), default=0)
-        self._matrix = np.full((len(members), max(width, 1)), self._PAD)
-        self._row = np.zeros(eff.shape[0], dtype=np.int64)
-        self._col = np.zeros(eff.shape[0], dtype=np.int64)
-        for i, mem in enumerate(members):
-            self._row[mem] = i
-            self._col[mem] = np.arange(mem.size)
-        self.rebuild(eff)
-
-    def rebuild(self, eff: np.ndarray) -> None:
-        self._matrix.fill(self._PAD)
-        for i, mem in enumerate(self._members):
-            if mem.size:
-                self._matrix[i, :mem.size] = eff[mem]
-
-    def update(self, nodes: np.ndarray, values: np.ndarray) -> None:
-        """Scatter new ``eff`` values for the given nodes into their slots."""
-        self._matrix[self._row[nodes], self._col[nodes]] = values
-
-    def gains(self, thresholds: np.ndarray) -> np.ndarray:
-        """Per-cluster gain for a vector of thresholds (one per cluster)."""
-        diff = self._matrix - thresholds[:, None]
-        np.maximum(diff, 0.0, out=diff)
-        return diff.sum(axis=1)
+#: Ceiling on the transient ``(chunk, n)`` cross-term array of
+#: :meth:`RepresentativityObjective.marginal_gains`; larger candidate batches
+#: are evaluated in slices of ``_GAIN_CEILING_BYTES // (8 n)`` candidates.
+_GAIN_CEILING_BYTES = 256 * 2 ** 20
 
 
 class RepresentativityObjective:
@@ -164,10 +126,7 @@ class RepresentativityObjective:
     first selection always has positive gain.
     """
 
-    #: Default ceiling on the transient ``(chunk, n_c, width)`` gain tensor.
-    DEFAULT_GAIN_BUDGET_BYTES = 256 * 2 ** 20
-
-    def __init__(self, model: ClusterModel, gain_budget_bytes: Optional[int] = None) -> None:
+    def __init__(self, model: ClusterModel) -> None:
         self.model = model
         # Cap: any selected node u gives cluster i at most
         # ||c_i - R[u]|| + d_i^max <= max center distance + max d_i, so this
@@ -177,53 +136,44 @@ class RepresentativityObjective:
         )
         self.eff = np.full(model.num_nodes, self.unrepresented_cost)
         self.selected: List[int] = []
-        self._costs = _ClusterCostMatrix(self.eff, model.members)
-        self.gain_budget_bytes = int(
-            gain_budget_bytes if gain_budget_bytes is not None
-            else self.DEFAULT_GAIN_BUDGET_BYTES
-        )
-        if self.gain_budget_bytes <= 0:
-            raise ValueError("gain_budget_bytes must be positive")
+        # Cluster-ordered layout for the cross term.  Empty clusters get no
+        # segment: ``np.add.reduceat`` yields ``a[i]``, not 0, for an empty
+        # slice, so they must not appear in ``_starts``.
+        sizes = np.array([mem.size for mem in model.members], dtype=np.int64)
+        nonempty = sizes > 0
+        self._order = np.concatenate(model.members)
+        self._node_cluster = model.assignments[self._order]
+        self._starts = (np.cumsum(sizes) - sizes)[nonempty]
+        self._segment = np.cumsum(nonempty) - 1  # cluster id -> segment index
 
     # ------------------------------------------------------------------
     def cost(self) -> float:
         """Current value of the Def. 1 objective (plus the finite cap)."""
         return float(self.eff.sum())
 
-    def _candidate_terms(self, candidate: int):
-        """Intra-cluster distances and cross-cluster thresholds for a node."""
-        model = self.model
-        j = int(model.assignments[candidate])
-        mem_j = model.members[j]
-        diff = model.r[mem_j] - model.r[candidate]
-        intra = np.sqrt((diff ** 2).sum(axis=1))
-        cross = model.center_distances[candidate] + model.d_max  # per-cluster
-        return j, mem_j, intra, cross
-
     def marginal_gain(self, candidate: int) -> float:
-        """``RS(V_s) − RS(V_s ∪ {candidate})`` without mutating state."""
-        j, mem_j, intra, cross = self._candidate_terms(candidate)
-        gain = float(np.maximum(self.eff[mem_j] - intra, 0.0).sum())
-        cross_gains = self._costs.gains(cross)
-        gain += float(cross_gains.sum() - cross_gains[j])  # own cluster uses intra
-        return gain
+        """``RS(V_s) − RS(V_s ∪ {candidate})`` without mutating state.
+
+        Exact: it is the gain :meth:`add` would realize.  The batched
+        :meth:`marginal_gains` agrees up to the ~1e-8 cancellation noise of
+        its expanded intra-cluster distances.
+        """
+        return self.cost() - float(self._covered(candidate).sum())
 
     def marginal_gains(self, candidates: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`marginal_gain` over a candidate batch.
 
         One greedy round of Alg. 2 evaluates ``n_s`` candidates; batching
-        them turns per-candidate python overhead into three numpy passes
-        (cross-cluster tensor, per-cluster intra distances, row reductions).
-        The transient ``(chunk, n_c, width)`` tensor is bounded by
-        ``gain_budget_bytes``: candidate batches larger than the budget are
-        processed in slices, so selection never allocates gigabytes on
-        large graphs regardless of ``n_s``.
+        them turns per-candidate python overhead into a few numpy passes
+        (cross-cluster ``(m, n)`` array, per-cluster intra distances, segment
+        reductions).  Batches whose ``(m, n)`` array would exceed
+        ``_GAIN_CEILING_BYTES`` are processed in slices, so selection never
+        allocates gigabytes on large graphs regardless of ``n_s``.
         """
         candidates = np.asarray(candidates, dtype=np.int64)
         if candidates.size == 0:
             return np.zeros(0)
-        per_candidate = max(self._costs._matrix.size * 8, 1)
-        chunk = max(1, self.gain_budget_bytes // per_candidate)
+        chunk = max(1, _GAIN_CEILING_BYTES // (8 * self.model.num_nodes))
         if candidates.size <= chunk:
             return self._marginal_gains_block(candidates)
         return np.concatenate([
@@ -235,13 +185,16 @@ class RepresentativityObjective:
         model = self.model
         m = candidates.size
 
-        # Cross-cluster term for every candidate at once: (m, n_c, width).
+        # Cross-cluster term for every candidate at once: each node v in
+        # cluster order gains max(0, eff[v] - t_i) from threshold t_i of its
+        # cluster i, summed per cluster segment.
         thresholds = model.center_distances[candidates] + model.d_max[None, :]
-        diff = self._costs._matrix[None, :, :] - thresholds[:, :, None]
+        diff = thresholds[:, self._node_cluster]             # (m, n)
+        np.subtract(self.eff[self._order], diff, out=diff)
         np.maximum(diff, 0.0, out=diff)
-        per_cluster = diff.sum(axis=2)                       # (m, n_c)
+        per_cluster = np.add.reduceat(diff, self._starts, axis=1)
         own = model.assignments[candidates]
-        gains = per_cluster.sum(axis=1) - per_cluster[np.arange(m), own]
+        gains = per_cluster.sum(axis=1) - per_cluster[np.arange(m), self._segment[own]]
 
         # Intra term, grouped by the candidates' own clusters.
         for j in np.unique(own):
@@ -260,22 +213,22 @@ class RepresentativityObjective:
             gains[in_j] += np.maximum(self.eff[mem][None, :] - d, 0.0).sum(axis=1)
         return gains
 
-    def add(self, candidate: int) -> float:
-        """Commit ``candidate`` into ``V_s``; returns the realized gain.
-
-        ``eff`` only ever decreases, so the padded cost matrix is patched in
-        place for exactly the nodes whose covering cost improved — ``O(n)``
-        total instead of an ``O(n_c · width)`` rebuild per greedy round.
-        """
-        j, mem_j, intra, cross = self._candidate_terms(candidate)
-        before = self.cost()
-        thresholds = cross[self.model.assignments].copy()
+    def _covered(self, candidate: int) -> np.ndarray:
+        """``eff`` after adding ``candidate`` to ``V_s`` (not committed)."""
+        model = self.model
+        mem_j = model.members[int(model.assignments[candidate])]
+        intra = np.sqrt(((model.r[mem_j] - model.r[candidate]) ** 2).sum(axis=1))
+        cross = model.center_distances[candidate] + model.d_max  # per-cluster
+        thresholds = cross[model.assignments]
         thresholds[mem_j] = np.inf  # own cluster uses the exact distances
         new_eff = np.minimum(self.eff, thresholds)
         new_eff[mem_j] = np.minimum(new_eff[mem_j], intra)
-        changed = np.flatnonzero(new_eff < self.eff)
-        self.eff = new_eff
-        self._costs.update(changed, new_eff[changed])
+        return new_eff
+
+    def add(self, candidate: int) -> float:
+        """Commit ``candidate`` into ``V_s``; returns the realized gain."""
+        before = self.cost()
+        self.eff = self._covered(candidate)
         self.selected.append(int(candidate))
         return before - self.cost()
 

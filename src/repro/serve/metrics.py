@@ -187,13 +187,13 @@ class ServeMetrics:
     # ------------------------------------------------------------------
     @property
     def cache_hit_rate(self) -> Optional[float]:
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else None
+        with self._lock:
+            return _ratio(self.cache_hits, self.cache_hits + self.cache_misses)
 
     @property
     def shed_rate(self) -> Optional[float]:
-        total = self.admitted + self.shed
-        return self.shed / total if total else None
+        with self._lock:
+            return _ratio(self.shed, self.admitted + self.shed)
 
     @property
     def deadline_expired_total(self) -> int:
@@ -202,47 +202,57 @@ class ServeMetrics:
 
     @property
     def mean_batch_occupancy(self) -> Optional[float]:
-        return self.batched_requests / self.batches if self.batches else None
+        with self._lock:
+            return _ratio(self.batched_requests, self.batches)
 
     def snapshot(self) -> dict:
-        """JSON-ready view of every counter (what ``stats`` queries return)."""
+        """JSON-ready view of every counter (what ``stats`` queries return).
+
+        Every counter is read once under the lock and each rate is derived
+        from those same reads, so one reply never mixes values from before
+        and after a concurrent ``observe_*``.
+        """
         with self._lock:
             latency = {op: h.summary() for op, h in self._latency.items()}
-            errors = dict(self.errors)
             deadline_expired = dict(self.deadline_expired)
-        return {
-            "latency": latency,
-            "cache": {
-                "hits": self.cache_hits,
-                "misses": self.cache_misses,
-                "hit_rate": self.cache_hit_rate,
-            },
-            "batching": {
-                "batches": self.batches,
-                "batched_requests": self.batched_requests,
-                "mean_occupancy": self.mean_batch_occupancy,
-            },
-            "admission": {
-                "admitted": self.admitted,
-                "shed": self.shed,
-                "shed_rate": self.shed_rate,
-            },
-            "deadlines": {
-                "expired": deadline_expired,
-                "expired_total": sum(deadline_expired.values()),
-                "encoded_requests": self.encoded_requests,
-            },
-            "lifecycle": {
-                "snapshot_failures": self.snapshot_failures,
-                "worker_restarts": self.worker_restarts,
-                "dirty_shutdown": self.dirty_shutdown,
-            },
-            "streaming": {
-                "invalidations": self.invalidations,
-                "invalidated_rows": self.invalidated_rows,
-                "preserved_rows": self.preserved_rows,
-                "stale_refreshes": self.stale_refreshes,
-                "graph_rebinds": self.graph_rebinds,
-            },
-            "errors": errors,
-        }
+            return {
+                "latency": latency,
+                "cache": {
+                    "hits": self.cache_hits,
+                    "misses": self.cache_misses,
+                    "hit_rate": _ratio(self.cache_hits,
+                                       self.cache_hits + self.cache_misses),
+                },
+                "batching": {
+                    "batches": self.batches,
+                    "batched_requests": self.batched_requests,
+                    "mean_occupancy": _ratio(self.batched_requests, self.batches),
+                },
+                "admission": {
+                    "admitted": self.admitted,
+                    "shed": self.shed,
+                    "shed_rate": _ratio(self.shed, self.admitted + self.shed),
+                },
+                "deadlines": {
+                    "expired": deadline_expired,
+                    "expired_total": sum(deadline_expired.values()),
+                    "encoded_requests": self.encoded_requests,
+                },
+                "lifecycle": {
+                    "snapshot_failures": self.snapshot_failures,
+                    "worker_restarts": self.worker_restarts,
+                    "dirty_shutdown": self.dirty_shutdown,
+                },
+                "streaming": {
+                    "invalidations": self.invalidations,
+                    "invalidated_rows": self.invalidated_rows,
+                    "preserved_rows": self.preserved_rows,
+                    "stale_refreshes": self.stale_refreshes,
+                    "graph_rebinds": self.graph_rebinds,
+                },
+                "errors": dict(self.errors),
+            }
+
+
+def _ratio(numerator: int, denominator: int) -> Optional[float]:
+    return numerator / denominator if denominator else None

@@ -1,9 +1,12 @@
 """The Def. 1 objective: incremental evaluator vs direct evaluation.
 
-The central invariant: ``RepresentativityObjective`` (sorted-suffix
-incremental version used by Alg. 2) must produce *exactly* the same costs
-as the direct O(n·k) evaluation of Eq. 14 — for any selection sequence.
+The central invariant: ``RepresentativityObjective`` (the incremental
+per-node covering costs used by Alg. 2) must produce *exactly* the same
+costs as the direct O(n·k) evaluation of Eq. 14 — for any selection
+sequence.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +18,8 @@ from repro.core import (
     build_cluster_model,
     representativity_cost,
 )
+from repro.core import representativity
+from repro.core.kmeans import KMeansResult
 
 
 def model_from(seed, n=40, d=4, clusters=5):
@@ -120,33 +125,62 @@ class TestObjectiveProperties:
         assert objective.eff[mates].max() < objective.unrepresented_cost
 
 
+class TestEmptyClusters:
+    def test_gains_match_cost_difference_with_an_empty_cluster(self):
+        """``np.add.reduceat`` returns ``a[i]`` rather than 0 for an empty
+        segment, so an empty cluster must get no segment in the cross term."""
+        rng = np.random.default_rng(12)
+        r = rng.normal(size=(30, 3))
+        assignments = np.arange(30) % 4
+        assignments[assignments == 2] = 0          # cluster 2 ends up empty
+        centers = np.stack([
+            r[assignments == i].mean(axis=0) if (assignments == i).any()
+            else np.full(3, 5.0)
+            for i in range(4)
+        ])
+        model = build_cluster_model(
+            r, 4, clustering=KMeansResult(assignments, centers, 0.0, 0))
+        assert model.members[2].size == 0
+        objective = RepresentativityObjective(model)
+        for added in (None, 0, 13):               # cluster 3 stays uncovered
+            if added is not None:
+                objective.add(added)
+            candidates = np.setdiff1d(np.arange(30), objective.selected)
+            gains = objective.marginal_gains(candidates)
+            before = representativity_cost(model, objective.selected)
+            for v, gain in zip(candidates, gains):
+                after = representativity_cost(model, objective.selected + [int(v)])
+                assert gain == pytest.approx(before - after, rel=1e-7, abs=1e-7)
+
+
 class TestChunkedGains:
-    """``marginal_gains`` must be exact regardless of the memory budget that
+    """``marginal_gains`` must be exact however the module's memory ceiling
     slices the candidate batch (up to summation-order float noise), and the
     incremental ``add`` path it feeds must keep agreeing with the direct
-    Eq. 14 evaluation."""
+    Eq. 14 evaluation.  Chunking is forced by lowering the ceiling."""
 
-    def test_tiny_budget_matches_default(self):
+    def test_tiny_budget_matches_default(self, monkeypatch):
         model = model_from(7)
         candidates = np.arange(40)
         unchunked = RepresentativityObjective(model).marginal_gains(candidates)
-        one_at_a_time = RepresentativityObjective(
-            model, gain_budget_bytes=1
-        ).marginal_gains(candidates)
+        monkeypatch.setattr(representativity, "_GAIN_CEILING_BYTES", 1)
+        one_at_a_time = RepresentativityObjective(model).marginal_gains(candidates)
         np.testing.assert_allclose(one_at_a_time, unchunked, rtol=1e-7, atol=1e-9)
 
-    def test_chunked_gains_match_scalar_after_adds(self):
+    def test_chunked_gains_match_scalar_after_adds(self, monkeypatch):
+        monkeypatch.setattr(representativity, "_GAIN_CEILING_BYTES", 2048)
         model = model_from(8)
-        objective = RepresentativityObjective(model, gain_budget_bytes=2048)
+        objective = RepresentativityObjective(model)
         for v in (3, 17, 29):
             objective.add(v)
         gains = objective.marginal_gains(np.arange(40))
         for v in range(40):
             assert gains[v] == pytest.approx(objective.marginal_gain(v), rel=1e-7, abs=1e-9)
 
-    def test_incremental_add_matches_direct_cost_under_tiny_budget(self):
+    def test_incremental_add_matches_direct_cost_under_tiny_budget(self, monkeypatch):
+        monkeypatch.setattr(representativity, "_GAIN_CEILING_BYTES", 1)
         model = model_from(9)
-        objective = RepresentativityObjective(model, gain_budget_bytes=1)
+        objective = RepresentativityObjective(model)
         rng = np.random.default_rng(5)
         for v in rng.choice(40, size=12, replace=False):
             gains = objective.marginal_gains(np.arange(40))
@@ -157,10 +191,27 @@ class TestChunkedGains:
                 representativity_cost(model, objective.selected), rel=1e-9
             )
 
+    def test_transient_stays_under_ceiling(self, monkeypatch):
+        """The ceiling bounds the ``(chunk, n)`` cross-term slab; everything
+        else a slice allocates is ``O(n + chunk · n_c)``, far below the
+        ``8 n²`` bytes an unsliced all-node batch would take."""
+        n = 2000
+        model = model_from(13, n=n, clusters=20)
+        objective = RepresentativityObjective(model)
+        candidates = np.arange(n)
+        unchunked = objective.marginal_gains(candidates)
+        ceiling = 8 * n * 100                      # 100 candidates per slice
+        monkeypatch.setattr(representativity, "_GAIN_CEILING_BYTES", ceiling)
+        tracemalloc.start()
+        try:
+            chunked = objective.marginal_gains(candidates)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < ceiling + 16 * 8 * n         # slab + 16 length-n vectors
+        assert peak < 8 * n * n // 10
+        np.testing.assert_allclose(chunked, unchunked, rtol=1e-7, atol=1e-9)
+
     def test_empty_candidate_batch(self):
         objective = RepresentativityObjective(model_from(10))
         assert objective.marginal_gains(np.empty(0, dtype=np.int64)).shape == (0,)
-
-    def test_budget_validated(self):
-        with pytest.raises(ValueError):
-            RepresentativityObjective(model_from(11), gain_budget_bytes=0)

@@ -5,6 +5,7 @@ import math
 import threading
 
 import numpy as np
+import pytest
 
 from repro.obs import Tracer
 from repro.serve import LatencyHistogram, ServeMetrics
@@ -59,7 +60,57 @@ class TestLatencyHistogram:
         assert hist.count == 2000
 
 
+class _ObserveDuringRead(ServeMetrics):
+    """``ServeMetrics`` that, once armed, lets another thread run
+    ``observe`` (waiting up to 0.2 s for it) at the next read of ``counter``.
+
+    A reader that holds the lock blocks that thread until it is done; a
+    reader that reads outside the lock sees the counters move mid-reply.
+    """
+
+    _pending = None
+    writer = None
+
+    def arm(self, counter, observe):
+        self._pending = (counter, observe)
+
+    def __getattribute__(self, name):
+        pending = object.__getattribute__(self, "_pending")
+        if pending is not None and name == pending[0]:
+            self._pending = None
+            self.writer = threading.Thread(target=pending[1], args=(self,))
+            self.writer.start()
+            self.writer.join(timeout=0.2)
+        return object.__getattribute__(self, name)
+
+
 class TestServeMetrics:
+    @pytest.mark.parametrize("section, counter, observe, consistent", [
+        ("cache", "cache_misses", lambda m: m.observe_cache(True),
+         lambda s: s["hit_rate"] == s["hits"] / (s["hits"] + s["misses"])),
+        ("batching", "batched_requests", lambda m: m.observe_batch(9),
+         lambda s: s["mean_occupancy"] == s["batched_requests"] / s["batches"]),
+        ("admission", "shed", lambda m: m.observe_admission(True),
+         lambda s: s["shed_rate"] == s["shed"] / (s["admitted"] + s["shed"])),
+    ])
+    def test_snapshot_rates_match_its_counters(self, section, counter, observe,
+                                               consistent):
+        metrics = _ObserveDuringRead()
+        for hit in (True, False, False):
+            metrics.observe_cache(hit)
+        metrics.observe_batch(4)
+        metrics.observe_batch(2)
+        for admitted in (True, True, False):
+            metrics.observe_admission(admitted)
+        metrics.arm(counter, observe)
+        snapshot = metrics.snapshot()
+        metrics.writer.join(timeout=5)
+        assert not metrics.writer.is_alive()
+        assert consistent(snapshot[section])
+        # The concurrent observation still lands, after the reply.
+        assert metrics.snapshot()[section] != snapshot[section]
+
+
     def test_cache_hit_rate(self):
         metrics = ServeMetrics()
         assert metrics.cache_hit_rate is None

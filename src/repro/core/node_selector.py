@@ -6,6 +6,17 @@ round (Theorem 3 gives the ``1 − 1/e − ε`` guarantee for
 ``n_s = (n/k)·log(1/ε)``), then assigns each graph node to its nearest
 selected node in ``R``-space to produce the weights ``λ_u`` that enter the
 contrastive loss.
+
+Rounds are lazy (Minoux's lazy greedy over Theorem 3's sample, as in
+"Lazier than lazy greedy", Mirzasoleiman et al., AAAI 2015).  Def. 1's gain
+``Σ_v max(0, eff[v] − c(v, u))`` only shrinks as ``eff`` shrinks, so each
+node's last computed gain bounds its current one.  A round groups its sample
+by cluster, evaluates the groups whole in order of their largest stale bound
+and stops once the best exact gain beats the next group's bound by more than
+the objective's float-noise slack.  Each round still draws exactly one
+``rng.choice``, so the RNG stream is unchanged, and the picked node is the
+one an eager round over the whole sample picks, bit for bit — Theorem 3's
+guarantee, which concerns only which node is picked, holds untouched.
 """
 
 from __future__ import annotations
@@ -13,7 +24,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -85,6 +96,55 @@ def _nearest_selected(r: np.ndarray, selected: np.ndarray) -> np.ndarray:
     return out
 
 
+def _lazy_round(
+    objective: RepresentativityObjective,
+    candidates: np.ndarray,
+    clusters: np.ndarray,
+    bound: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """One lazy greedy round over the sampled ``candidates``.
+
+    The candidates are grouped by their own cluster (``clusters``), keeping
+    sample order inside each group, and the groups are evaluated whole in
+    order of their largest stale ``bound`` (highest first, stable): the
+    groups holding a never-evaluated candidate in one
+    :meth:`~RepresentativityObjective.marginal_gains` call, then one call
+    per group.  Evaluation stops once the best exact gain so far beats the
+    next group's bound by more than ``objective.gain_slack``; no candidate
+    of that group or a later one can then reach it.  ``bound`` is updated
+    with every fresh gain.
+
+    Returns the exact gains (``-inf`` for candidates left unevaluated), the
+    mask of evaluated candidates and the number of groups evaluated.  The
+    first position of ``exact.argmax()`` is the candidate an eager round
+    over the whole sample would pick.
+    """
+    by_cluster = np.argsort(clusters, kind="stable")
+    starts = np.flatnonzero(np.diff(clusters[by_cluster], prepend=-1))
+    ends = np.append(starts[1:], candidates.size)
+    group_bound = np.maximum.reduceat(bound[candidates[by_cluster]], starts)
+    exact = np.full(candidates.size, -np.inf)
+    done = np.zeros(candidates.size, dtype=bool)
+    best = -np.inf
+    order = np.argsort(-group_bound, kind="stable")
+    # Groups never evaluated (bound +inf, sorted first) cannot be skipped;
+    # they go in one call, which gives the same bits as one call each.
+    fresh = int(np.isposinf(group_bound).sum())
+    batches = ([order[:fresh]] if fresh else []) + [[g] for g in order[fresh:]]
+    groups = 0
+    for batch in batches:
+        if best > group_bound[batch[0]] + objective.gain_slack:
+            break
+        positions = np.concatenate([by_cluster[starts[g]:ends[g]] for g in batch])
+        batch_gains = objective.marginal_gains(candidates[positions])
+        exact[positions] = batch_gains
+        done[positions] = True
+        bound[candidates[positions]] = batch_gains
+        best = max(best, float(batch_gains.max()))
+        groups += len(batch)
+    return exact, done, groups
+
+
 def select_coreset(
     graph: Graph,
     budget: int,
@@ -142,8 +202,13 @@ def select_coreset(
     if sample_size is None:
         sample_size = recommended_sample_size(graph.num_nodes, budget)
 
+    assignments = cluster_model.assignments
     unselected = np.ones(graph.num_nodes, dtype=bool)
+    # bound[v]: v's last batched gain, an upper bound (up to gain_slack) on
+    # every later one because gains only shrink as eff shrinks.
+    bound = np.full(graph.num_nodes, np.inf)
     gains: List[float] = []
+    sampled = evaluated = groups_evaluated = 0
     with span("selector.greedy"):
         while len(objective.selected) < budget:
             pool = np.flatnonzero(unselected)
@@ -153,13 +218,17 @@ def select_coreset(
                 candidates = rng.choice(pool, size=sample_size, replace=False)
             else:
                 candidates = pool
-            batch_gains = objective.marginal_gains(candidates)
-            if not np.isfinite(batch_gains).all():
+            exact, done, groups = _lazy_round(
+                objective, candidates, assignments[candidates], bound)
+            if not np.isfinite(exact[done]).all():
                 return _degree_fallback(
                     graph, budget, r, cluster_model, start_time,
                     reason="non-finite marginal gains",
                 )
-            if not gains and budget < graph.num_nodes and batch_gains.max() <= 0.0:
+            evaluated += int(done.sum())
+            groups_evaluated += groups
+            sampled += candidates.size
+            if not gains and budget < graph.num_nodes and exact.max() <= 0.0:
                 # No candidate improves coverage on the very first round:
                 # the objective carries no signal (e.g. all nodes coincide
                 # in R-space) and greedy selection would be arbitrary.
@@ -167,9 +236,11 @@ def select_coreset(
                     graph, budget, r, cluster_model, start_time,
                     reason="degenerate objective (no positive first-round gain)",
                 )
-            best_candidate = int(candidates[int(batch_gains.argmax())])
+            best_candidate = int(candidates[int(exact.argmax())])
             gains.append(objective.add(best_candidate))
             unselected[best_candidate] = False
+    emit_event("selector.lazy", sampled=sampled, evaluated=evaluated,
+               groups_evaluated=groups_evaluated)
 
     selected = np.asarray(objective.selected, dtype=np.int64)
     with span("selector.assign"):

@@ -111,6 +111,28 @@ def build_cluster_model(
 _GAIN_CEILING_BYTES = 256 * 2 ** 20
 
 
+def _gain_slack(model: ClusterModel, cap: float) -> float:
+    """Bound on how far a batched gain can rise above an earlier batched gain
+    of the same candidate.
+
+    Exact gains only shrink as ``eff`` shrinks, but two batched evaluations
+    see different cluster groups, so their expanded intra distances differ
+    in the last bits.  Each is within a forward-error bound of the exact
+    gain: the radicand ``||a||^2 - 2ab + ||b||^2`` is off by at most
+    ``(d + 2) u (||a|| + ||b||)^2`` (``u`` the unit roundoff), so one
+    distance by at most the square root of that, and a candidate sums at
+    most ``max |C_j|`` of them; the cross term's sums of ``n`` terms no
+    larger than ``cap`` add at most ``n^2 u cap``.  The bound is twice the
+    per-evaluation error (fresh and stale are both off).
+    """
+    n, dim = model.r.shape
+    unit = np.finfo(np.float64).eps / 2
+    norm = float(np.sqrt((model.r ** 2).sum(axis=1).max(initial=0.0)))
+    dist_err = 2.0 * norm * np.sqrt((dim + 2) * unit)
+    largest = max((mem.size for mem in model.members), default=0)
+    return 2.0 * (largest * dist_err + n * n * unit * cap)
+
+
 class RepresentativityObjective:
     """Incremental evaluator of ``RS(V_s)`` supporting greedy selection.
 
@@ -124,6 +146,11 @@ class RepresentativityObjective:
     ``RS(∅)`` is made finite by capping every node's covering cost at a
     constant strictly larger than any achievable relaxed distance, so the
     first selection always has positive gain.
+
+    ``gain_slack`` bounds how far a batched gain can rise above an earlier
+    batched gain of the same candidate (float noise only: exact gains never
+    rise); the lazy greedy round of Alg. 2 allows for it before it skips a
+    cluster group.
     """
 
     def __init__(self, model: ClusterModel) -> None:
@@ -145,6 +172,7 @@ class RepresentativityObjective:
         self._node_cluster = model.assignments[self._order]
         self._starts = (np.cumsum(sizes) - sizes)[nonempty]
         self._segment = np.cumsum(nonempty) - 1  # cluster id -> segment index
+        self.gain_slack = _gain_slack(model, self.unrepresented_cost)
 
     # ------------------------------------------------------------------
     def cost(self) -> float:
@@ -163,55 +191,73 @@ class RepresentativityObjective:
     def marginal_gains(self, candidates: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`marginal_gain` over a candidate batch.
 
-        One greedy round of Alg. 2 evaluates ``n_s`` candidates; batching
-        them turns per-candidate python overhead into a few numpy passes
+        The lazy greedy round of Alg. 2 calls this once per cluster group of
+        its ``n_s`` sampled candidates (all of them in round one); batching
+        turns per-candidate python overhead into a few numpy passes
         (cross-cluster ``(m, n)`` array, per-cluster intra distances, segment
-        reductions).  Batches whose ``(m, n)`` array would exceed
-        ``_GAIN_CEILING_BYTES`` are processed in slices, so selection never
+        reductions).  The cross term is evaluated in slices of
+        ``_GAIN_CEILING_BYTES // (8 n)`` candidates and each intra block in
+        slices of ``_GAIN_CEILING_BYTES // (8 |C_j|)``, so selection never
         allocates gigabytes on large graphs regardless of ``n_s``.
+
+        A candidate's gain depends only on ``eff`` and on the candidates of
+        its own cluster in the batch, in batch order: the cross term is
+        computed row by row, and the intra term's ``cand_r @ R[C_j]^T``
+        (whose bits vary with its row count) sees exactly that group.
+        Evaluating one cluster group alone therefore gives the same bits as
+        evaluating it inside any larger batch.
         """
         candidates = np.asarray(candidates, dtype=np.int64)
         if candidates.size == 0:
             return np.zeros(0)
-        chunk = max(1, _GAIN_CEILING_BYTES // (8 * self.model.num_nodes))
-        if candidates.size <= chunk:
-            return self._marginal_gains_block(candidates)
-        return np.concatenate([
-            self._marginal_gains_block(candidates[start:start + chunk])
+        model = self.model
+        chunk = max(1, _GAIN_CEILING_BYTES // (8 * model.num_nodes))
+        gains = np.concatenate([
+            self._cross_gains(candidates[start:start + chunk])
             for start in range(0, candidates.size, chunk)
         ])
 
-    def _marginal_gains_block(self, candidates: np.ndarray) -> np.ndarray:
-        model = self.model
-        m = candidates.size
+        # Intra term, grouped by the candidates' own clusters.
+        own = model.assignments[candidates]
+        for j in np.unique(own):
+            mem = model.members[j]
+            if mem.size == 0:
+                continue
+            in_j = np.flatnonzero(own == j)
+            mem_r = model.r[mem]
+            mem_sq = (mem_r ** 2).sum(axis=1)
+            eff_mem = self.eff[mem]
+            rows = max(1, _GAIN_CEILING_BYTES // (8 * mem.size))
+            for start in range(0, in_j.size, rows):
+                block = in_j[start:start + rows]
+                cand_r = model.r[candidates[block]]          # (c, d)
+                # ||a||^2 - 2ab + ||b||^2, built in one (c, |C_j|) array.
+                d = cand_r @ mem_r.T
+                d *= -2.0
+                d += (cand_r ** 2).sum(axis=1)[:, None]
+                d += mem_sq[None, :]
+                np.maximum(d, 0.0, out=d)
+                np.sqrt(d, out=d)
+                np.subtract(eff_mem, d, out=d)
+                np.maximum(d, 0.0, out=d)
+                gains[block] += d.sum(axis=1)
+        return gains
 
-        # Cross-cluster term for every candidate at once: each node v in
-        # cluster order gains max(0, eff[v] - t_i) from threshold t_i of its
-        # cluster i, summed per cluster segment.
+    def _cross_gains(self, candidates: np.ndarray) -> np.ndarray:
+        """Cross-cluster term of the gains of ``candidates``.
+
+        Each node v in cluster order gains ``max(0, eff[v] - t_i)`` from the
+        threshold ``t_i`` of its cluster i, summed per cluster segment; the
+        candidate's own cluster is then taken out (the intra term covers it).
+        """
+        model = self.model
         thresholds = model.center_distances[candidates] + model.d_max[None, :]
         diff = thresholds[:, self._node_cluster]             # (m, n)
         np.subtract(self.eff[self._order], diff, out=diff)
         np.maximum(diff, 0.0, out=diff)
         per_cluster = np.add.reduceat(diff, self._starts, axis=1)
-        own = model.assignments[candidates]
-        gains = per_cluster.sum(axis=1) - per_cluster[np.arange(m), self._segment[own]]
-
-        # Intra term, grouped by the candidates' own clusters.
-        for j in np.unique(own):
-            in_j = np.flatnonzero(own == j)
-            mem = model.members[j]
-            if mem.size == 0:
-                continue
-            cand_r = model.r[candidates[in_j]]               # (c_j, d)
-            d = (
-                (cand_r ** 2).sum(axis=1)[:, None]
-                - 2.0 * cand_r @ model.r[mem].T
-                + (model.r[mem] ** 2).sum(axis=1)[None, :]
-            )
-            np.maximum(d, 0.0, out=d)
-            np.sqrt(d, out=d)
-            gains[in_j] += np.maximum(self.eff[mem][None, :] - d, 0.0).sum(axis=1)
-        return gains
+        own = self._segment[model.assignments[candidates]]
+        return per_cluster.sum(axis=1) - per_cluster[np.arange(candidates.size), own]
 
     def _covered(self, candidate: int) -> np.ndarray:
         """``eff`` after adding ``candidate`` to ``V_s`` (not committed)."""

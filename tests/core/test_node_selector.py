@@ -13,7 +13,11 @@ from repro.core import (
     representativity_cost,
     select_coreset,
 )
+from repro.core import representativity
+from repro.core.kmeans import KMeansResult
+from repro.core.node_selector import _lazy_round, _nearest_selected
 from repro.graphs import load_dataset, propagated_features
+from repro.obs import Tracer
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +183,203 @@ class TestGoldenSelection:
                 best = int(pool[np.argmax(gains[pool])])
                 assert best < 13
                 objective.add(best)
+
+
+def eager_select(graph, budget, sample_size, seed, model):
+    """Alg. 2 with eager rounds: every round evaluates the whole sample in
+    one ``marginal_gains`` call.  The lazy selector must reproduce it bit
+    for bit.  Also returns the largest rise of a candidate's batched gain
+    over its previous batched gain, which the lazy stop must tolerate."""
+    rng = np.random.default_rng(seed)
+    objective = RepresentativityObjective(model)
+    unselected = np.ones(graph.num_nodes, dtype=bool)
+    last = np.full(graph.num_nodes, np.inf)
+    gains, rise, tail_rounds = [], -np.inf, 0
+    while len(objective.selected) < budget:
+        pool = np.flatnonzero(unselected)
+        if pool.size > sample_size:
+            candidates = rng.choice(pool, size=sample_size, replace=False)
+        else:
+            candidates = pool
+            tail_rounds += 1
+        batch = objective.marginal_gains(candidates)
+        rise = max(rise, float((batch - last[candidates]).max()))
+        last[candidates] = batch
+        best = int(candidates[int(batch.argmax())])
+        gains.append(objective.add(best))
+        unselected[best] = False
+    selected = np.asarray(objective.selected, dtype=np.int64)
+    weights = np.bincount(_nearest_selected(model.r, selected),
+                          minlength=selected.size).astype(np.float64)
+    return {"selected": selected, "weights": weights, "gains": np.array(gains),
+            "rise": rise, "slack": objective.gain_slack,
+            "tail_rounds": tail_rounds}
+
+
+def selection_case(case):
+    """``(graph, model, budget, sample_size, seed, ceiling)`` for a case id.
+
+    ``cora-s``: the Cora analogue at x0.3 (seed s); ``citeseer-s``: its
+    Citeseer analogue; ``twins-s``: every node has a twin with the same
+    ``R`` row, so gains tie exactly every round; ``empty-s``: a partition
+    with an empty cluster; ``chunked-c``: the gain ceiling lowered to ``c``
+    bytes; ``tail-s``: a budget that drains the pool below ``n_s``."""
+    kind, arg = case.rsplit("-", 1)
+    seed, ceiling = int(arg), None
+    dataset = "citeseer" if kind == "citeseer" else "cora"
+    graph = load_dataset(dataset, seed=11, scale=0.3)
+    r = propagated_features(graph, 2)
+    budget = E2GCLConfig().budget_for(graph.num_nodes)
+    if kind == "twins":
+        r = r.copy()
+        half = graph.num_nodes // 2
+        r[half:2 * half] = r[:half]
+    if kind == "chunked":
+        seed, ceiling = 0, int(arg)
+    if kind == "tail":
+        budget = graph.num_nodes - 20
+    model = build_cluster_model(r, 20, rng=np.random.default_rng(seed))
+    if kind == "empty":
+        assignments = model.assignments.copy()
+        assignments[assignments == 3] = 4
+        model = build_cluster_model(
+            r, 20, clustering=KMeansResult(assignments, model.centers, 0.0, 0))
+        assert model.members[3].size == 0
+    return graph, model, budget, 60, seed, ceiling
+
+
+LAZY_CASES = ([f"cora-{s}" for s in range(10)]
+              + [f"citeseer-{s}" for s in range(3)]
+              + [f"twins-{s}" for s in range(3)]
+              + [f"empty-{s}" for s in range(2)]
+              + ["chunked-1", "chunked-4096", "tail-0"])
+
+_RUNS = {}
+
+
+def lazy_and_eager(case):
+    """Both selections for ``case`` (cached: several tests read them)."""
+    if case not in _RUNS:
+        graph, model, budget, sample_size, seed, ceiling = selection_case(case)
+        with pytest.MonkeyPatch.context() as patch:
+            if ceiling is not None:
+                patch.setattr(representativity, "_GAIN_CEILING_BYTES", ceiling)
+            lazy = select_coreset(graph, budget=budget, sample_size=sample_size,
+                                  rng=np.random.default_rng(seed),
+                                  r=model.r, cluster_model=model)
+            eager = eager_select(graph, budget, sample_size, seed, model)
+        _RUNS[case] = lazy, eager
+    return _RUNS[case]
+
+
+class TestLazyEqualsEager:
+    """Lazy rounds pick the node an eager round over the whole sample picks,
+    so selection, weights and realized gains are bit-identical."""
+
+    @pytest.mark.parametrize("case", LAZY_CASES)
+    def test_matches_eager_oracle(self, case):
+        lazy, eager = lazy_and_eager(case)
+        np.testing.assert_array_equal(lazy.selected, eager["selected"])
+        np.testing.assert_array_equal(lazy.weights, eager["weights"])
+        np.testing.assert_array_equal(np.array(lazy.gains), eager["gains"])
+
+    def test_tail_case_reaches_tail_rounds(self):
+        _, eager = lazy_and_eager("tail-0")
+        assert eager["tail_rounds"] > 0
+
+    @pytest.mark.parametrize("case", LAZY_CASES)
+    def test_gain_rise_within_slack(self, case):
+        """A fresh batched gain may exceed the candidate's stale bound only
+        by float noise, and ``gain_slack`` must cover it."""
+        _, eager = lazy_and_eager(case)
+        assert eager["rise"] <= eager["slack"]
+
+
+class _StubObjective:
+    """Prescribed gains per node; records each ``marginal_gains`` batch."""
+
+    def __init__(self, gains, slack):
+        self.gains = np.asarray(gains, dtype=np.float64)
+        self.gain_slack = slack
+        self.calls = []
+
+    def marginal_gains(self, candidates):
+        self.calls.append(candidates.tolist())
+        return self.gains[candidates]
+
+
+class TestLazyRound:
+    # Sample positions 0..3 hold nodes 0..3; nodes 1 and 3 form the cluster-0
+    # group (stale bound 7), nodes 0 and 2 the cluster-1 group.
+    CANDIDATES = np.arange(4)
+    CLUSTERS = np.array([1, 0, 1, 0])
+
+    def run(self, fresh, stale_bound, slack):
+        objective = _StubObjective(fresh, slack)
+        bound = np.array([stale_bound, 7.0, 1.0, 7.0])
+        exact, done, groups = _lazy_round(objective, self.CANDIDATES,
+                                          self.CLUSTERS, bound)
+        return objective, exact, done, groups, bound
+
+    def test_group_whose_bound_equals_best_is_evaluated(self):
+        """Best exact gain so far (5, position 3) equals the next group's
+        bound: that group is evaluated and the tie goes to position 0."""
+        objective, exact, done, groups, bound = self.run(
+            [5.0, 4.0, 1.0, 5.0], stale_bound=5.0, slack=0.0)
+        assert objective.calls == [[1, 3], [0, 2]]
+        assert groups == 2 and done.all()
+        assert int(exact.argmax()) == 0
+        np.testing.assert_array_equal(bound, [5.0, 4.0, 1.0, 5.0])
+
+    def test_rise_within_slack_still_wins(self):
+        objective, exact, _, _, _ = self.run(
+            [5.1, 4.0, 1.0, 5.0], stale_bound=4.8, slack=0.5)
+        assert objective.calls == [[1, 3], [0, 2]]
+        assert int(exact.argmax()) == 0
+
+    def test_group_below_best_minus_slack_is_skipped(self):
+        objective, exact, done, groups, bound = self.run(
+            [5.0, 4.0, 1.0, 5.0], stale_bound=4.4, slack=0.5)
+        assert objective.calls == [[1, 3]]
+        assert groups == 1
+        np.testing.assert_array_equal(done, [False, True, False, True])
+        assert exact[0] == exact[2] == -np.inf
+        assert int(exact.argmax()) == 3
+        assert bound[0] == 4.4                       # stale bound kept
+
+    def test_unevaluated_group_goes_first(self):
+        objective, _, done, groups, _ = self.run(
+            [5.0, 4.0, 1.0, 5.0], stale_bound=np.inf, slack=0.0)
+        assert done.all() and groups == 2
+        assert objective.calls == [[0, 2], [1, 3]]   # +inf bound goes first
+
+    def test_unevaluated_groups_share_one_call(self):
+        objective = _StubObjective([5.0, 4.0, 1.0, 5.0], 0.0)
+        bound = np.full(4, np.inf)
+        exact, done, groups = _lazy_round(objective, self.CANDIDATES,
+                                          self.CLUSTERS, bound)
+        assert objective.calls == [[1, 3, 0, 2]]
+        assert groups == 2 and done.all()
+        assert int(exact.argmax()) == 0
+
+
+class TestLazyObservability:
+    def events(self, graph, budget):
+        with Tracer() as tracer:
+            select_coreset(graph, budget=budget, num_clusters=20,
+                           sample_size=60, rng=np.random.default_rng(0))
+        (event,) = [e for e in tracer.events if e["name"] == "selector.lazy"]
+        return event
+
+    def test_round_one_evaluates_every_candidate(self, graph):
+        event = self.events(graph, budget=1)
+        assert event["sampled"] == event["evaluated"] == 60
+        assert 1 <= event["groups_evaluated"] <= 20
+
+    def test_later_rounds_evaluate_fewer(self, graph):
+        event = self.events(graph, budget=84)
+        assert event["sampled"] == 84 * 60
+        assert event["evaluated"] < event["sampled"]
 
 
 class TestDegradation:

@@ -21,23 +21,31 @@ Writes ``BENCH_hotpaths.json`` at the repo root and
 
 from __future__ import annotations
 
-import json
-import platform
-import time
-from pathlib import Path
-from typing import Callable, List, Tuple
+import os
 
-import numpy as np
+# BLAS/OpenMP pools are pinned to one thread before numpy loads, as in
+# perfbench/run.py: on a small host a second BLAS thread competes with the
+# timed kernel and the rows wander from run to run.
+for _key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_key] = "1"
 
-from repro.bench import bench_trials, render_table
-from repro.core import (
+import json  # noqa: E402
+import platform  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+from typing import Callable, List, Tuple  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from repro.bench import bench_trials, render_table  # noqa: E402
+from repro.core import (  # noqa: E402
     compute_edge_scores,
     compute_feature_scores,
     generate_global_view_pair,
     select_coreset,
 )
-from repro.core.view_generator import _sample_count
-from repro.graphs import load_dataset
+from repro.core.view_generator import _sample_count  # noqa: E402
+from repro.graphs import load_dataset  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 JSON_PATH = ROOT / "BENCH_hotpaths.json"
@@ -139,7 +147,7 @@ def run_hotpaths() -> dict:
                 graph, budget=budget, num_clusters=min(60, graph.num_nodes // 10),
                 rng=np.random.default_rng(3),
             ),
-            max(1, trials - 1),
+            trials,
         )
 
         results["scales"].append({

@@ -188,8 +188,8 @@ def run_serve_bench() -> dict:
     open_loop_rps = 0.0
     for _ in range(trials):
         with EmbeddingServer(registry, graph, use_cache=False,
-                             use_batching=True, max_batch=CONCURRENCY,
-                             max_wait_ms=2.0) as batched:
+                             use_batching=True,
+                             max_batch=CONCURRENCY) as batched:
             rps, _ = closed_loop(batched, num_nodes)
             batched_rps = max(batched_rps, rps)
             open_loop_rps = max(open_loop_rps, open_loop_burst(batched, num_nodes))
@@ -216,7 +216,7 @@ def run_serve_bench() -> dict:
     def guarded_server() -> EmbeddingServer:
         return EmbeddingServer(overload_registry, overload_graph,
                                use_cache=False, use_batching=True,
-                               max_batch=CONCURRENCY, max_wait_ms=2.0,
+                               max_batch=CONCURRENCY,
                                max_inflight=CONCURRENCY, retry_after_ms=5.0)
 
     capacity_rps = 0.0

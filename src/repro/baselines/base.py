@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from ..core.augmentations import (
     perturb_features,
 )
 from ..engine import (
-    CallbackHook,
     RngStreams,
     RunHistory,
     TrainLoop,
@@ -232,7 +231,6 @@ class ContrastiveMethod(TrainStep):
     def fit(
         self,
         graph: Graph,
-        callback: Optional[Callable[[int, "ContrastiveMethod"], None]] = None,
         *,
         hooks: Sequence = (),
         resume_from: Optional[Union[str, Path]] = None,
@@ -240,21 +238,17 @@ class ContrastiveMethod(TrainStep):
         """Pre-train on ``graph`` through the shared engine; labels are
         never read.
 
-        ``callback(epoch, method)`` fires after each epoch (legacy
-        surface); ``hooks`` extends the engine's hook pipeline (early
-        stopping, periodic checkpoints, timed eval); ``resume_from``
-        continues a run from a v2 checkpoint bit-identically.
+        ``hooks`` extends the engine's hook pipeline (early stopping,
+        periodic checkpoints, timed eval); ``resume_from`` continues a run
+        from a v2 checkpoint bit-identically.
         """
         self._graph = graph
-        run_hooks = list(hooks)
-        if callback is not None:
-            run_hooks.append(CallbackHook(callback, owner=self))
         loop = TrainLoop(
             self,
             epochs=self.epochs,
             lr=self.lr,
             weight_decay=self.weight_decay,
-            hooks=run_hooks,
+            hooks=list(hooks),
             rngs=self.rngs,
             scope=f"method.{self.name}",
             resume_from=resume_from,

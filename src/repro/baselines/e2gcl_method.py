@@ -10,7 +10,7 @@ plugin — this wrapper forwards hooks / resume straight to it.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from ..core import E2GCLConfig, E2GCLTrainer
 from ..engine import load_step_state
@@ -98,7 +98,6 @@ class E2GCLMethod(ContrastiveMethod):
     def fit(
         self,
         graph: Graph,
-        callback: Optional[Callable[[int, "E2GCLMethod"], None]] = None,
         *,
         hooks: Sequence = (),
         resume_from: Optional[Union[str, Path]] = None,
@@ -106,13 +105,11 @@ class E2GCLMethod(ContrastiveMethod):
         """Delegate to the E2GCL trainer (itself an engine plugin)."""
         self._graph = graph
         self.trainer = self._build_trainer(graph)
-        # Expose the encoder before training so per-epoch callbacks (e.g.
-        # the Fig. 3 timed evaluator) can embed mid-run.
+        # Expose the encoder before training so per-epoch hooks (e.g. the
+        # Fig. 3 timed evaluator) can embed mid-run.
         self.encoder = self.trainer.encoder
         self.train_result = self.trainer.train(
-            callback=(lambda epoch, _t: callback(epoch, self)) if callback else None,
-            hooks=hooks,
-            resume_from=resume_from,
+            hooks=hooks, resume_from=resume_from,
         )
         self.encoder = self.train_result.encoder
         self.info = FitInfo(self.train_result.run_history)

@@ -205,7 +205,6 @@ def _build_server(args):
         cache_size=args.cache_size,
         snapshot_dir=args.snapshot_dir,
         max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
         rate_limit=args.rate_limit,
         burst=args.burst,
         max_inflight=args.max_inflight,
@@ -372,7 +371,6 @@ def _add_serve_common(parser, require_checkpoint: bool = True) -> None:
     parser.add_argument("--no-batching", action="store_true",
                         help="disable request microbatching")
     parser.add_argument("--max-batch", type=int, default=32)
-    parser.add_argument("--max-wait-ms", type=float, default=2.0)
     parser.add_argument("--rate-limit", type=float, default=None,
                         help="admission: shed workload ops beyond this req/s")
     parser.add_argument("--burst", type=float, default=None,

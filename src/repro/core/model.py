@@ -43,11 +43,11 @@ class E2GCL:
         self._graph: Optional[Graph] = None
 
     # ------------------------------------------------------------------
-    def fit(self, graph: Graph, callback=None) -> "E2GCL":
+    def fit(self, graph: Graph) -> "E2GCL":
         """Pre-train the encoder on ``graph`` (no labels consumed)."""
         self._graph = graph
         self.trainer = E2GCLTrainer(graph, self.config)
-        self.result = self.trainer.train(callback=callback)
+        self.result = self.trainer.train()
         return self
 
     def _require_fitted(self) -> TrainResult:

@@ -16,13 +16,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
 from ..autograd import Tensor, ops
 from ..contrast import L2LContrast, UniformK, get_negative_sampler, get_objective
-from ..engine import CallbackHook, EpochRecord, RngStreams, RunHistory, TrainLoop, TrainStep
+from ..engine import EpochRecord, RngStreams, RunHistory, TrainLoop, TrainStep
 from ..graphs import Graph
 from ..nn import GCN, ProjectionHead
 from ..obs.tracer import span
@@ -305,27 +305,23 @@ class E2GCLTrainer(TrainStep):
     # ------------------------------------------------------------------
     def train(
         self,
-        callback: Optional[Callable[[int, "E2GCLTrainer"], None]] = None,
         *,
         hooks: Sequence = (),
         resume_from: Optional[Union[str, Path]] = None,
     ) -> TrainResult:
         """Run the optimization loop through the shared engine.
 
-        ``callback(epoch, trainer)`` fires after each epoch (used by
-        Fig. 3's timed evaluation); ``hooks`` extends the engine pipeline;
-        ``resume_from`` continues from a v2 checkpoint bit-identically.
+        ``hooks`` extends the engine pipeline (Fig. 3's timed evaluation
+        rides here); ``resume_from`` continues from a v2 checkpoint
+        bit-identically.
         """
         cfg = self.config
-        run_hooks = list(hooks)
-        if callback is not None:
-            run_hooks.append(CallbackHook(callback, owner=self))
         loop = TrainLoop(
             self,
             epochs=cfg.epochs,
             lr=cfg.lr,
             weight_decay=cfg.weight_decay,
-            hooks=run_hooks,
+            hooks=list(hooks),
             rngs=self.rngs,
             scope="trainer",
             resume_from=resume_from,

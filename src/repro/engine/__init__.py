@@ -33,7 +33,6 @@ from .checkpoint import (
 )
 from .history import EpochRecord, RunHistory
 from .hooks import (
-    CallbackHook,
     EarlyStopping,
     Hook,
     PeriodicCheckpoint,
@@ -54,7 +53,6 @@ __all__ = [
     "EarlyStopping",
     "PeriodicCheckpoint",
     "StopAfter",
-    "CallbackHook",
     "TimedEvalHook",
     "Failure",
     "TrainingFailure",

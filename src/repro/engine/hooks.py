@@ -135,21 +135,6 @@ class StopAfter(Hook):
             loop.request_stop(f"stop requested after epoch {self.epoch}")
 
 
-class CallbackHook(Hook):
-    """Adapt a legacy ``callback(epoch, owner)`` to the hook pipeline.
-
-    Keeps the pre-engine ``fit(graph, callback=...)`` surface working: the
-    callback fires after every epoch with the owning method/trainer.
-    """
-
-    def __init__(self, callback: Callable, owner=None) -> None:
-        self.callback = callback
-        self.owner = owner
-
-    def on_epoch_end(self, loop, epoch: int, record) -> None:
-        self.callback(epoch, self.owner if self.owner is not None else loop)
-
-
 class TimedEvalHook(Hook):
     """Timed linear evaluation on the engine's canonical clock (Fig. 3).
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import E2GCL, E2GCLConfig, E2GCLTrainer
+from repro.engine import Hook
 
 
 def fast_config(**overrides):
@@ -64,10 +65,15 @@ class TestTrainer:
         result = trainer.train()
         assert np.isfinite(result.final_loss)
 
-    def test_callback_invoked_every_epoch(self, tiny_cora):
+    def test_hook_invoked_every_epoch(self, tiny_cora):
         epochs_seen = []
+
+        class RecordEpochs(Hook):
+            def on_epoch_end(self, loop, epoch, record):
+                epochs_seen.append(epoch)
+
         trainer = E2GCLTrainer(tiny_cora, fast_config())
-        trainer.train(callback=lambda e, t: epochs_seen.append(e))
+        trainer.train(hooks=[RecordEpochs()])
         assert epochs_seen == list(range(8))
 
     def test_view_refresh_interval(self, tiny_cora):

@@ -5,7 +5,6 @@ import pytest
 
 from repro.autograd import Parameter
 from repro.engine import (
-    CallbackHook,
     EarlyStopping,
     EpochRecord,
     Hook,
@@ -170,14 +169,6 @@ def test_stop_after_truncates_the_run():
         ScriptedStep([1.0] * 10), epochs=10, hooks=[StopAfter(3)]
     ).run()
     assert [r.epoch for r in history.records] == [0, 1, 2, 3]
-
-
-def test_callback_hook_preserves_legacy_signature():
-    seen = []
-    owner = object()
-    hook = CallbackHook(lambda epoch, who: seen.append((epoch, who)), owner=owner)
-    TrainLoop(ScriptedStep([1.0, 2.0]), epochs=2, hooks=[hook]).run()
-    assert seen == [(0, owner), (1, owner)]
 
 
 def test_exclude_seconds_deducts_probe_time():

@@ -35,8 +35,7 @@ class TestOverloadSheds:
         shed with ``overloaded`` envelopes, everything admitted completes,
         and the server is immediately healthy for the next request."""
         with EmbeddingServer(registry, tiny_cora, use_cache=False,
-                             max_inflight=2, retry_after_ms=5.0,
-                             max_wait_ms=1.0) as server:
+                             max_inflight=2, retry_after_ms=5.0) as server:
             FaultPlan(seed=0).slow_encode(server, delay_ms=15.0)
             server.warmup()
             with InProcessClient(server, pool_size=16) as client:
@@ -63,8 +62,7 @@ class TestOverloadSheds:
         """With backoff honoring ``retry_after_ms``, every idempotent
         request eventually lands despite aggressive shedding."""
         with EmbeddingServer(registry, tiny_cora, use_cache=False,
-                             max_inflight=2, retry_after_ms=2.0,
-                             max_wait_ms=1.0) as server:
+                             max_inflight=2, retry_after_ms=2.0) as server:
             FaultPlan(seed=0).slow_encode(server, delay_ms=5.0)
             server.warmup()
             retry = RetryPolicy(max_retries=20, base_ms=2.0, cap_ms=40.0,
@@ -81,8 +79,7 @@ class TestDeadlinesNeverEncode:
         """Counter-level proof: with the encoder slowed to a crawl, every
         tight-deadline request dies at dequeue/pre-encode and the encoder
         forward-pass counter only ever tallies the unbounded request."""
-        with EmbeddingServer(registry, tiny_cora, use_cache=False,
-                             max_wait_ms=1.0) as server:
+        with EmbeddingServer(registry, tiny_cora, use_cache=False) as server:
             FaultPlan(seed=0).slow_encode(server, delay_ms=40.0)
             server.warmup()
             with InProcessClient(server, pool_size=8) as client:
@@ -123,7 +120,7 @@ class TestRolloutFailsClosed:
         rotted = tmp_path / "candidate.npz"
         shutil.copy(grace_checkpoint, rotted)
         FaultPlan(seed=5).digest_mismatch(rotted)
-        with EmbeddingServer(registry, tiny_cora, max_wait_ms=1.0) as server:
+        with EmbeddingServer(registry, tiny_cora) as server:
             server.warmup()
             active_id = server.registry.get().version_id
             with InProcessClient(server) as client:
@@ -145,8 +142,7 @@ class TestRolloutFailsClosed:
 class TestKillAndRestart:
     def test_killed_worker_does_not_interrupt_service(self, registry,
                                                       tiny_cora):
-        with EmbeddingServer(registry, tiny_cora, use_cache=False,
-                             max_wait_ms=1.0) as server:
+        with EmbeddingServer(registry, tiny_cora, use_cache=False) as server:
             server.warmup()
             with InProcessClient(server) as client:
                 first = client.request({"op": "embed", "node": 1})
@@ -198,7 +194,7 @@ class TestKillAndRestart:
 
     def test_drain_rejects_new_work_but_stays_observable(self, registry,
                                                          tiny_cora):
-        server = EmbeddingServer(registry, tiny_cora, max_wait_ms=1.0)
+        server = EmbeddingServer(registry, tiny_cora)
         server.warmup()
         with InProcessClient(server) as client:
             assert client.request({"op": "embed", "node": 0})["ok"]

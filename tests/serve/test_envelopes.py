@@ -19,7 +19,7 @@ _ENVELOPE_KEYS = {"ok", "error", "status"}
 
 @pytest.fixture
 def server(registry, tiny_cora):
-    with EmbeddingServer(registry, tiny_cora, max_wait_ms=1.0) as srv:
+    with EmbeddingServer(registry, tiny_cora) as srv:
         yield srv
 
 

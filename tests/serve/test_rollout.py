@@ -15,7 +15,7 @@ from repro.serve.rollout import PROMOTED, ROLLED_BACK, SHADOWING
 
 @pytest.fixture
 def server(registry, tiny_cora):
-    with EmbeddingServer(registry, tiny_cora, max_wait_ms=1.0) as srv:
+    with EmbeddingServer(registry, tiny_cora) as srv:
         yield srv
 
 

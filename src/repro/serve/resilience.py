@@ -116,6 +116,13 @@ class AdmissionController:
         with self._lock:
             return self._inflight
 
+    def saturated(self) -> bool:
+        """True while the inflight watermark is reached (new work sheds)."""
+        if self.max_inflight is None:
+            return False
+        with self._lock:
+            return self._inflight >= self.max_inflight
+
     def admit(self, op: str) -> "AdmissionTicket":
         """Admit one request or raise :class:`OverloadedError` (shed)."""
         if self.max_inflight is not None:

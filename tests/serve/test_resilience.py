@@ -109,6 +109,21 @@ class TestAdmissionController:
             assert gate.inflight == 1
         assert gate.inflight == 0
 
+    def test_saturated_tracks_the_inflight_watermark(self):
+        gate = AdmissionController(max_inflight=2)
+        first = gate.admit("embed")
+        assert not gate.saturated()
+        second = gate.admit("embed")
+        assert gate.saturated()
+        first.release()
+        assert not gate.saturated()
+        second.release()
+        unbounded = AdmissionController()
+        tickets = [unbounded.admit("embed") for _ in range(64)]
+        assert not unbounded.saturated()  # no watermark, never saturated
+        for ticket in tickets:
+            ticket.release()
+
     def test_unbounded_controller_still_counts(self):
         metrics = ServeMetrics()
         gate = AdmissionController(metrics=metrics)

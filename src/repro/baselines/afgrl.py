@@ -110,7 +110,7 @@ class AFGRL(ContrastiveMethod):
         graph = self._graph
         if epoch % self.refresh_positives_every == 0:
             self._positive_targets = self._discover_positives(graph)
-        online = self.predictor(self.encoder(graph))
+        online = self.predictor(self.encoder(graph.a_n, graph.features))
         return self._contrast.loss(online, Tensor(self._positive_targets), rng=self._neg_rng)
 
     def finish_epoch(self, loop, epoch: int) -> None:

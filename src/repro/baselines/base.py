@@ -367,8 +367,8 @@ class TwoViewContrastiveMethod(ContrastiveMethod):
         ``negatives`` stream, leaving the augmentation stream untouched.
         """
         view1, view2 = self._views(self._graph)
-        z1 = self._project(self.encoder(view1))
-        z2 = self._project(self.encoder(view2))
+        z1 = self._project(self.encoder(view1.a_n, view1.features))
+        z2 = self._project(self.encoder(view2.a_n, view2.features))
         return self._contrast.loss(z1, z2, rng=self._neg_rng)
 
 

@@ -86,8 +86,8 @@ class BGRL(ContrastiveMethod):
         graph = self._graph
         view1 = self._augment(graph, self.edge_drop_rates[0], self.feature_mask_rates[0])
         view2 = self._augment(graph, self.edge_drop_rates[1], self.feature_mask_rates[1])
-        online1 = self.predictor(self.encoder(view1))
-        online2 = self.predictor(self.encoder(view2))
+        online1 = self.predictor(self.encoder(view1.a_n, view1.features))
+        online2 = self.predictor(self.encoder(view2.a_n, view2.features))
         # Target representations are constants (stop-gradient).
         target1 = Tensor(self.target_encoder.embed(view1))
         target2 = Tensor(self.target_encoder.embed(view2))

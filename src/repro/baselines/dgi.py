@@ -62,8 +62,8 @@ class DGI(ContrastiveMethod):
         """Real vs corrupted (node, summary) pairs through the G2L mode."""
         graph = self._graph
         corrupted = self._corrupt(graph)
-        h_real = self.encoder(graph)
-        h_fake = self.encoder(corrupted)
+        h_real = self.encoder(graph.a_n, graph.features)
+        h_fake = self.encoder(corrupted.a_n, corrupted.features)
         summary = graph_summary(h_real)
         pos = bilinear_scores(h_real, self.discriminator_weight, summary)
         neg = bilinear_scores(h_fake, self.discriminator_weight, summary)

@@ -52,7 +52,7 @@ class GAE(ContrastiveMethod):
 
     def compute_loss(self, loop, epoch: int) -> Tensor:
         """Negative-sampled edge reconstruction."""
-        return self._reconstruction_loss(self.encoder(self._graph), self._graph)
+        return self._reconstruction_loss(self.encoder(self._graph.a_n, self._graph.features), self._graph)
 
 
 @register
@@ -102,8 +102,8 @@ class VGAE(ContrastiveMethod):
         """Reparameterized reconstruction plus weighted KL prior."""
         graph = self._graph
         pos = self._pos
-        mu = self.encoder(graph)
-        logvar = self.logvar_encoder(graph)
+        mu = self.encoder(graph.a_n, graph.features)
+        logvar = self.logvar_encoder(graph.a_n, graph.features)
         noise = self._rng.normal(size=mu.shape)
         z = ops.add(mu, ops.mul(ops.exp(ops.mul(logvar, 0.5)), noise))
 

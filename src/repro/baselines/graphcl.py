@@ -102,8 +102,8 @@ class ADGCL(TwoViewContrastiveMethod):
             self.current_rate = worst_rate
 
         view1, view2 = self._views(graph)
-        z1 = self._project(self.encoder(view1))
-        z2 = self._project(self.encoder(view2))
+        z1 = self._project(self.encoder(view1.a_n, view1.features))
+        z2 = self._project(self.encoder(view2.a_n, view2.features))
         return self._contrast.loss(z1, z2, rng=self._neg_rng)
 
     def state_json(self) -> dict:

@@ -112,10 +112,10 @@ class MVGRL(ContrastiveMethod):
         adj_corrupt = adj_view.with_features(adj_view.features[perm])
         diff_corrupt = diff_view.with_features(diff_view.features[perm])
 
-        h_adj = self.encoder(adj_view)
-        h_diff = self.diffusion_encoder(diff_view)
-        h_adj_neg = self.encoder(adj_corrupt)
-        h_diff_neg = self.diffusion_encoder(diff_corrupt)
+        h_adj = self.encoder(adj_view.a_n, adj_view.features)
+        h_diff = self.diffusion_encoder(diff_view.a_n, diff_view.features)
+        h_adj_neg = self.encoder(adj_corrupt.a_n, adj_corrupt.features)
+        h_diff_neg = self.diffusion_encoder(diff_corrupt.a_n, diff_corrupt.features)
         s_adj = graph_summary(h_adj)
         s_diff = graph_summary(h_diff)
         weight = self.discriminator_weight

@@ -74,7 +74,7 @@ class SupervisedGCN:
         train_idx = np.asarray(train_idx)
         step = _CrossEntropyStep(
             self.model,
-            lambda: ops.gather_rows(self.model(graph), train_idx),
+            lambda: ops.gather_rows(self.model(graph.a_n, graph.features), train_idx),
             graph.labels[train_idx],
         )
         TrainLoop(

@@ -279,8 +279,8 @@ class E2GCLTrainer(TrainStep):
         optimizer = loop.optimizer
         optimizer.zero_grad()
         anchors = self._anchors
-        h_hat = ops.gather_rows(self.encoder(view_hat), anchors)
-        h_tilde = ops.gather_rows(self.encoder(view_tilde), anchors)
+        h_hat = ops.gather_rows(self.encoder(view_hat.a_n, view_hat.features), anchors)
+        h_tilde = ops.gather_rows(self.encoder(view_tilde.a_n, view_tilde.features), anchors)
         loss = self._loss(h_hat, h_tilde)
         loss.backward()
         optimizer.step()

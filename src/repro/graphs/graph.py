@@ -119,6 +119,7 @@ class Graph:
         self.labels = labels
         self.name = name
         self._degrees: Optional[np.ndarray] = None
+        self._a_n: Optional[sp.csr_matrix] = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -207,6 +208,7 @@ class Graph:
         graph.labels = None if labels is None else np.asarray(labels)
         graph.name = name
         graph._degrees = None
+        graph._a_n = None
         if validate:
             graph.validate()
         return graph
@@ -221,8 +223,14 @@ class Graph:
         return Graph(adjacency, self.features, self.labels, self.name)
 
     def with_features(self, features: np.ndarray) -> "Graph":
-        """New graph sharing structure/labels but with different features."""
-        return Graph(self.adjacency, features, self.labels, self.name)
+        """New graph sharing structure/labels but with different features.
+
+        The structure is unchanged, so the successor shares whatever degrees
+        and normalized adjacency this graph has already derived.
+        """
+        graph = Graph(self.adjacency, features, self.labels, self.name)
+        graph._degrees, graph._a_n = self._degrees, self._a_n
+        return graph
 
     # ------------------------------------------------------------------
     # Basic properties
@@ -252,6 +260,19 @@ class Graph:
         if self._degrees is None:
             self._degrees = np.asarray(self.adjacency.sum(axis=1)).ravel()
         return self._degrees
+
+    @property
+    def a_n(self) -> sp.csr_matrix:
+        """``Â = D̃^{-1/2}(A+I)D̃^{-1/2}``, the GCN operator of Eq. (1) (cached).
+
+        Derived once per graph object, so every encoder forward over this
+        graph (or over a :meth:`with_features` successor) reads one matrix.
+        """
+        if self._a_n is None:
+            from .adjacency import normalized_adjacency
+
+            self._a_n = normalized_adjacency(self.adjacency)
+        return self._a_n
 
     @property
     def average_degree(self) -> float:

@@ -13,13 +13,13 @@ everything stays on the autodiff engine, no dense n x n attention matrix.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..autograd import Module, Parameter, Tensor, init, ops
-from ..graphs import Graph, add_self_loops
+from ..graphs import Graph
 
 
 def _segment_softmax(scores: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
@@ -100,29 +100,25 @@ class GAT(Module):
             layer = GATLayer(dims[i], dims[i + 1], rng, activation=act)
             self.layers.append(layer)
             setattr(self, f"att_{i}", layer)
-        # Keyed by the adjacency object itself (held alive), never by id():
-        # a freed view's address can be reused and alias the cache.
-        self._cache_key = None
-        self._cached_edges: Optional[np.ndarray] = None
 
-    def _directed_edges(self, graph: Graph) -> np.ndarray:
-        if self._cache_key is not graph.adjacency:
-            coo = add_self_loops(graph.adjacency).tocoo()
-            self._cached_edges = np.stack([coo.row, coo.col], axis=1)
-            self._cache_key = graph.adjacency
-        return self._cached_edges
+    def forward(self, a_n: sp.spmatrix, x: Union[np.ndarray, Tensor]) -> Tensor:
+        """Node representations over the sparsity pattern of ``a_n``.
 
-    def forward(self, graph: Graph, features: Optional[Tensor] = None) -> Tensor:
-        edges = self._directed_edges(graph)
-        h: Tensor = features if features is not None else Tensor(graph.features)
+        Attention replaces ``Â``'s values, so only its pattern is read:
+        ``A + I`` in CSR order, i.e. every edge plus each node's self-loop.
+        """
+        coo = a_n.tocoo()
+        edges = np.stack([coo.row, coo.col], axis=1)
+        h = x if isinstance(x, Tensor) else Tensor(x)
         for layer in self.layers:
-            h = layer(edges, graph.num_nodes, h)
+            h = layer(edges, a_n.shape[0], h)
         return h
 
     def embed(self, graph: Graph) -> np.ndarray:
+        """Inference-mode node representations of ``graph`` as a plain array."""
         was_training = self.training
         self.eval()
         try:
-            return self.forward(graph).data
+            return self.forward(graph.a_n, graph.features).data
         finally:
             self.train(was_training)

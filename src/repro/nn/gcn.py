@@ -3,17 +3,22 @@
 ``H^{l+1} = σ(A_n H^l W^l)`` with the symmetric renormalized adjacency.
 This is the encoder ``f_θ`` every method in the reproduction shares (the
 paper fixes a 2-layer GCN in Sec. V-A4).
+
+The operator ``A_n`` is prepared by the caller — ``Graph.a_n`` for a whole
+graph, a degree-corrected block for sampled training and serving — and
+:class:`GCN` runs the one layer loop over it; the encoder holds no
+per-graph cache.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
 
-from ..autograd import Module, Parameter, Tensor, init, ops
-from ..graphs import Graph, normalized_adjacency
+from ..autograd import Module, Parameter, Tensor, get_default_dtype, init, ops
+from ..graphs import Graph
 
 
 class GCNLayer(Module):
@@ -69,9 +74,11 @@ class GCNLayer(Module):
 class GCN(Module):
     """Multi-layer GCN encoder ``f_θ``; hidden layers activated, output linear.
 
-    ``forward`` takes a :class:`~repro.graphs.graph.Graph` and returns node
-    representations ``H ∈ R^{|V| x d_h}`` — the ``H = f_θ(G)`` notation of
-    Sec. II-A.  The normalized adjacency is cached per graph object.
+    ``forward(a_n, x)`` is a pure function of the prepared operator
+    ``Â = D̃^{-1/2}(A+I)D̃^{-1/2}`` and the node features — the encoder keeps
+    no per-graph state.  Callers pass ``graph.a_n`` (derived once per
+    :class:`~repro.graphs.graph.Graph`), a degree-corrected block, or any
+    other prepared operator; ``embed(graph)`` is the inference convenience.
     """
 
     def __init__(
@@ -98,42 +105,43 @@ class GCN(Module):
         self.num_layers = num_layers
         self.dropout = dropout
         self._dropout_rng = np.random.default_rng(seed + 1)
-        # The cache holds the adjacency object itself, not its id(): an id is
-        # a memory address, and a freed adjacency's address can be reused by
-        # the next epoch's view, silently serving a stale normalization.
-        self._cache_key: Optional[sp.spmatrix] = None
-        self._cached_a_n: Optional[sp.csr_matrix] = None
 
-    def _normalized(self, graph: Graph) -> sp.csr_matrix:
-        if self._cache_key is not graph.adjacency:
-            from ..autograd import get_default_dtype
+    def forward(self, a_n: sp.spmatrix, x: Union[np.ndarray, Tensor]) -> Tensor:
+        """Node representations ``H = f_θ(Â, X)`` (Eq. (1) per layer)."""
+        return self._convolve(a_n, x, transformed=False)
 
-            a_n = normalized_adjacency(graph.adjacency)
-            # Match the process precision once at cache time; otherwise a
-            # float64 adjacency would silently promote every float32
-            # propagation back to float64.
-            if a_n.dtype != get_default_dtype():
-                a_n = a_n.astype(get_default_dtype())
-            self._cached_a_n = a_n
-            self._cache_key = graph.adjacency
-        return self._cached_a_n
+    def propagate(self, a_n: sp.spmatrix, h0: Union[np.ndarray, Tensor]) -> Tensor:
+        """The forward from the first layer's pre-transformed input ``X W_0``.
 
-    def forward(self, graph: Graph, features: Optional[Tensor] = None) -> Tensor:
-        """Node representations H = f_θ(G); optional features override X."""
-        a_n = self._normalized(graph)
-        h: Tensor = features if features is not None else Tensor(graph.features)
+        ``X W_0`` depends on no operator, so serving computes it once per
+        graph and feeds row slices here; the result equals :meth:`forward`
+        on the same rows of ``X``.
+        """
+        return self._convolve(a_n, h0, transformed=True)
+
+    def _convolve(self, a_n: sp.spmatrix, h, transformed: bool) -> Tensor:
+        # Match the process precision at the boundary; otherwise a float64
+        # operator would silently promote every float32 propagation.
+        dtype = get_default_dtype()
+        if a_n.dtype != dtype:
+            a_n = a_n.astype(dtype)
+        if not isinstance(h, Tensor):
+            h = Tensor(h)
         for i, layer in enumerate(self.layers):
+            if i == 0 and transformed:
+                h = layer.propagate(a_n, h)
+                continue
             if self.dropout and self.training:
                 h = ops.dropout(h, self.dropout, self._dropout_rng, training=True)
             h = layer(a_n, h)
         return h
 
     def embed(self, graph: Graph) -> np.ndarray:
-        """Inference-mode node representations as a plain array."""
+        """Inference-mode node representations of ``graph`` as a plain array."""
         was_training = self.training
         self.eval()
         try:
-            return self.forward(graph).data
+            return self.forward(graph.a_n, graph.features).data
         finally:
             self.train(was_training)
 
@@ -152,7 +160,7 @@ class LinearGCN(Module):
         self.hops = hops
 
     def forward(self, graph: Graph) -> Tensor:
-        a_n = normalized_adjacency(graph.adjacency)
+        a_n = graph.a_n
         h = Tensor(graph.features)
         for _ in range(self.hops):
             h = ops.spmm(a_n, h)

@@ -133,11 +133,6 @@ class BlockDiagonal:
     def num_rows(self) -> int:
         return int(self.nodes.shape[0])
 
-    def matrix(self) -> sp.csr_matrix:
-        """Canonical CSR of the block-diagonal adjacency."""
-        n = self.num_rows
-        return sp.csr_matrix((self.vals, (self.rows, self.cols)), shape=(n, n))
-
 
 def block_csr(
     rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, size: int

@@ -15,6 +15,9 @@ batch of all anchors), and ``view_mode="global"``, every epoch is a single
 full-fanout block step: the block forward reproduces the dense forward at
 the anchor rows, no batch/sampler randomness is consumed, and the loss
 trajectory matches ``E2GCLTrainer`` seed for seed within float tolerance.
+Blocks go through the encoder's own ``forward(a_n, x)`` — the block's
+degree-corrected operator is just another prepared ``Â`` — so the sampled
+and dense paths share one layer loop.
 Scaling knobs then peel away from that anchor point one at a time.
 
 View modes
@@ -35,13 +38,12 @@ from typing import List, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from ..autograd import Tensor, get_default_dtype, ops
+from ..autograd import Tensor, ops
 from ..core.config import E2GCLConfig
 from ..core.trainer import E2GCLTrainer
 from ..graphs import Graph
 from ..nn import GCN
 from ..obs.tracer import emit_metric, span
-from .blocks import true_degrees
 from .feature_store import (
     DEFAULT_CHUNK_BUDGET,
     FeatureStore,
@@ -133,7 +135,7 @@ class SampledTrainStep(E2GCLTrainer):
         self._sampler_rng = self.rngs.stream("sampler", offset=30013)
         self._local_view_rng = self.rngs.stream("local_views", offset=40009)
         self._anchor_rng = self.rngs.stream("anchors", offset=50021)
-        self._base_degrees = true_degrees(graph.adjacency)
+        self._base_degrees = graph.degrees
         self._store = FeatureStore(
             graph.features, chunk_budget_bytes=self.scale.chunk_budget_bytes)
         self._base_sampler = self._make_sampler(
@@ -237,21 +239,6 @@ class SampledTrainStep(E2GCLTrainer):
                 merged.append(g)
         return merged
 
-    def _block_forward(self, a_n: sp.csr_matrix, features: np.ndarray) -> Tensor:
-        """Drive the encoder layers over one block adjacency.
-
-        Mirrors ``GCN.forward`` (matmul + fused propagate per layer) with
-        the block's ``a_n`` instead of the full-graph normalization, and
-        the same dtype policy (cast once at the boundary).
-        """
-        dtype = get_default_dtype()
-        if a_n.dtype != dtype:
-            a_n = a_n.astype(dtype)
-        h = Tensor(np.asarray(features, dtype=dtype))
-        for layer in self.encoder.layers:
-            h = layer(a_n, h)
-        return h
-
     def _corrupt_block(self, block: SampledBlock, features: np.ndarray,
                        rng: np.random.Generator):
         """One cheap local view of a block: edge dropout + feature masking.
@@ -298,8 +285,7 @@ class SampledTrainStep(E2GCLTrainer):
         if views is not None:
             for view, sampler in zip(views, samplers):
                 block = sampler.sample(batch, rng=self._sampler_rng)
-                h = self._block_forward(
-                    block.a_n, view.features[block.nodes])
+                h = self.encoder(block.a_n, view.features[block.nodes])
                 seeds.append(ops.gather_rows(
                     h, np.searchsorted(block.nodes, batch)))
         else:
@@ -308,7 +294,7 @@ class SampledTrainStep(E2GCLTrainer):
             for _ in range(2):
                 a_n, feats = self._corrupt_block(
                     block, features, self._local_view_rng)
-                h = self._block_forward(a_n, feats)
+                h = self.encoder(a_n, feats)
                 seeds.append(ops.gather_rows(
                     h, np.searchsorted(block.nodes, batch)))
         loss = self._loss(seeds[0], seeds[1],

@@ -18,10 +18,16 @@ regime microbatching amortizes):
   so it is computed once for the whole base graph and sliced per request —
   slicing the full-graph product is *more* bit-faithful than re-running
   the gemm on ego rows, since they are literally the offline floats;
-* ego extraction and degree-corrected normalization run as vectorized
-  gathers over the parent CSR arrays (no per-request scipy slicing or
-  diag-sandwich products), emitting COO triplets that one
-  ``csr_matrix`` call canonicalizes.
+  :meth:`repro.nn.GCN.propagate` runs the encoder's one layer loop from
+  those rows over the block operator;
+* ego extraction and degree-corrected normalization run as the vectorized
+  gathers of :mod:`repro.scale.blocks` over the parent CSR arrays (no
+  per-request scipy slicing or diag-sandwich products), emitting COO
+  triplets that one ``csr_matrix`` call canonicalizes.
+
+The served graph and its ``H0`` travel as one ``(graph, H0)`` binding that
+:meth:`InductiveEncoder.rebind_graph` swaps whole; each encode reads it
+once, so a concurrent rebind never mixes two graphs into one row.
 
 Known nodes encode through :meth:`InductiveEncoder.encode_nodes`: one
 union L-hop block around all requested ids and one forward, so repairing
@@ -48,7 +54,6 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 import scipy.sparse as sp
 
-from ..autograd import Tensor
 from ..core.serialization import EncoderArtifact
 from ..graphs import Graph
 from ..graphs.batch import split_union_embeddings
@@ -93,37 +98,38 @@ class InductiveEncoder:
                 f"graph {graph.name!r} has {graph.num_features}"
             )
         self.artifact = artifact
-        self.graph = graph
         self.radius = int(artifact.num_layers)
-        # Parameters are frozen and every scipy/numpy op here is read-only,
-        # so concurrent encodes need no lock; only the lazy caches do.
-        self._cache_lock = threading.Lock()
-        self._degrees: Optional[np.ndarray] = None
-        self._h0: Optional[np.ndarray] = None
+        # The served graph and its ``H0 = X W_0`` rows are one reference:
+        # ``rebind_graph`` swaps the pair whole and every encode reads it
+        # once, so no encode mixes two graphs.  Parameters are frozen and
+        # every scipy/numpy op is read-only; only filling ``H0`` locks.
+        self._lock = threading.Lock()
+        self._binding: Tuple[Graph, Optional[np.ndarray]] = (graph, None)
 
-    # ------------------------------------------------------------------
-    # Lazy per-graph caches
-    # ------------------------------------------------------------------
-    def _true_degrees(self) -> np.ndarray:
-        with self._cache_lock:
-            if self._degrees is None:
-                self._degrees = np.asarray(
-                    self.graph.adjacency.sum(axis=1)
-                ).ravel()
-            return self._degrees
+    @property
+    def graph(self) -> Graph:
+        """The served base graph."""
+        return self._binding[0]
 
-    def _layer0_transform(self) -> np.ndarray:
-        """``H0 = X W_0`` for the whole base graph (sliced per request).
+    def _bound(self) -> Tuple[Graph, np.ndarray]:
+        """The served graph and its ``H0 = X W_0`` rows, read as one pair.
 
-        These are the exact floats ``GCNLayer.forward`` feeds its spmm on
+        ``H0`` holds the exact floats ``GCNLayer.forward`` feeds its spmm on
         the offline path (``ops.matmul`` is ``a.data @ b.data``), so ego
-        slices of this cache keep served embeddings bit-identical.
+        slices of it keep served embeddings bit-identical.  It is computed
+        once per graph, on first use.
         """
-        with self._cache_lock:
-            if self._h0 is None:
-                weight = self.artifact.encoder.layers[0].weight.data
-                self._h0 = np.ascontiguousarray(self.graph.features @ weight)
-            return self._h0
+        binding = self._binding
+        if binding[1] is None:
+            with self._lock:
+                binding = self._binding
+                if binding[1] is None:
+                    graph = binding[0]
+                    weight = self.artifact.encoder.layers[0].weight.data
+                    binding = (graph,
+                               np.ascontiguousarray(graph.features @ weight))
+                    self._binding = binding
+        return binding
 
     def _query_transform(self, features: np.ndarray) -> np.ndarray:
         """First-layer transform of one unseen node's feature row."""
@@ -136,7 +142,7 @@ class InductiveEncoder:
                      refreshed_rows: Optional[np.ndarray] = None) -> None:
         """Swap the base graph for a mutated successor.
 
-        Degrees re-derive lazily on next use; the ``H0 = X W_0`` cache is
+        Degrees come from the new graph; the ``H0 = X W_0`` cache is
         patched incrementally instead of recomputed: rows whose features
         did not change carry over (they *are* the old floats, and
         ``(X W)[i]`` depends only on row ``i``), while added nodes and the
@@ -151,11 +157,10 @@ class InductiveEncoder:
         refreshed = np.asarray(
             [] if refreshed_rows is None else refreshed_rows,
             dtype=np.int64).ravel()
-        with self._cache_lock:
-            old_h0 = self._h0
-            self.graph = graph
-            self._degrees = None
+        with self._lock:
+            old_h0 = self._binding[1]
             if old_h0 is None:
+                self._binding = (graph, None)
                 return
             weight = self.artifact.encoder.layers[0].weight.data
             n = graph.num_nodes
@@ -167,59 +172,14 @@ class InductiveEncoder:
             stale = refreshed[refreshed < keep]
             if stale.size:
                 h0[stale] = graph.features[stale] @ weight
-            self._h0 = np.ascontiguousarray(h0)
-
-    # ------------------------------------------------------------------
-    # Vectorized CSR gathers — shared kernels live in repro.scale.blocks
-    # (promoted from here in the scale-layer PR); these thin wrappers bind
-    # the served graph so the call sites below read as before.
-    # ------------------------------------------------------------------
-    def _gather_rows(self, nodes: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(local rows, global cols, values) of the parent rows ``nodes``."""
-        return _blocks.gather_rows(self.graph.adjacency, nodes)
-
-    def _ego_nodes(self, seeds: np.ndarray, hops: int) -> np.ndarray:
-        """Sorted ids within ``hops`` of any seed (vectorized BFS)."""
-        return _blocks.grow_ego(self.graph.adjacency, seeds, hops)
-
-    def _sub_triplets(self, nodes: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """COO triplets of ``A[nodes][:, nodes]`` with the diagonal dropped."""
-        return _blocks.sub_triplets(self.graph.adjacency, nodes)
-
-    def _normalized_block(
-        self,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        vals: np.ndarray,
-        true_degrees: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Degree-corrected ``D̃^{-1/2}(A+I)D̃^{-1/2}`` as COO triplets."""
-        return _blocks.normalized_block(rows, cols, vals, true_degrees)
-
-    def _forward(self, a_n: sp.csr_matrix, h0: np.ndarray) -> np.ndarray:
-        """Drive the frozen layers with a precomputed ``A_n`` and ``H0``.
-
-        Bypasses ``GCN.forward`` deliberately: its internal normalization
-        would re-derive degrees from the (truncated) subgraph, and its
-        adjacency cache mutates encoder state, which concurrent serving
-        must not do.  The first layer starts from the pre-transformed
-        ``H0`` rows (see :meth:`_layer0_transform`).
-        """
-        layers = self.artifact.encoder.layers
-        h = layers[0].propagate(a_n, Tensor(h0))
-        for layer in layers[1:]:
-            h = layer(a_n, h)
-        return h.data
-
-    @staticmethod
-    def _block_csr(block: _EgoBlock) -> sp.csr_matrix:
-        rows, cols, vals, h0, _ = block
-        n = h0.shape[0]
-        return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+            self._binding = (graph, np.ascontiguousarray(h0))
 
     # ------------------------------------------------------------------
     # Known nodes
     # ------------------------------------------------------------------
+    # Ids are checked against the graph *before* an encode reads its
+    # binding: the served graph only grows, so an id valid then is valid
+    # in whatever binding the encode sees.
     def _out_of_range(self, value: int) -> UnknownNodeError:
         return UnknownNodeError(
             f"node {value} is outside the served graph "
@@ -260,15 +220,16 @@ class InductiveEncoder:
         overlapping neighborhoods are propagated once, not once per id.
         """
         ids = self._check_nodes(nodes)
+        graph, h0 = self._bound()
         with span("serve.inductive_encode", rows=int(ids.size)):
             if ids.size == 0:
                 return np.empty((0, self.artifact.embedding_dim))
-            block = self._ego_nodes(ids, self.radius)
-            rows, cols, vals = self._sub_triplets(block)
-            rows, cols, vals = self._normalized_block(
-                rows, cols, vals, self._true_degrees()[block])
+            block = _blocks.grow_ego(graph.adjacency, ids, self.radius)
+            rows, cols, vals = _blocks.sub_triplets(graph.adjacency, block)
+            rows, cols, vals = _blocks.normalized_block(
+                rows, cols, vals, graph.degrees[block])
             a_n = _blocks.block_csr(rows, cols, vals, block.size)
-            out = self._forward(a_n, self._layer0_transform()[block])
+            out = self.artifact.encoder.propagate(a_n, h0[block]).data
             return out[np.searchsorted(block, ids)]
 
     def encode_node(self, node: int) -> np.ndarray:
@@ -303,40 +264,46 @@ class InductiveEncoder:
             )
         return query
 
-    def _splice_block(self, query: EgoQuery) -> _EgoBlock:
+    def _splice_block(self, query: EgoQuery, graph: Graph,
+                      h0: np.ndarray) -> _EgoBlock:
         """Normalized triplets + h0 rows + local center for a spliced node.
 
-        The spliced node's L-hop ego is itself plus everything within L-1
-        hops of its declared neighbors; splice edges add 1 to each declared
-        neighbor's true degree, and the new node's degree is its edge count.
+        ``query`` is already validated and ``(graph, h0)`` is the encode's
+        binding.  The spliced node's L-hop ego is itself plus everything
+        within L-1 hops of its declared neighbors; splice edges add 1 to
+        each declared neighbor's true degree, and the new node's degree is
+        its edge count.
         """
-        self.validate_query(query)
         neighbors = np.sort(query.neighbors)
         if neighbors.size:
-            base_nodes = self._ego_nodes(neighbors, self.radius - 1)
+            base_nodes = _blocks.grow_ego(
+                graph.adjacency, neighbors, self.radius - 1)
         else:
             base_nodes = np.empty(0, dtype=np.int64)
         m = base_nodes.shape[0]
-        rows, cols, vals = self._sub_triplets(base_nodes)
+        rows, cols, vals = _blocks.sub_triplets(graph.adjacency, base_nodes)
         attach = np.searchsorted(base_nodes, neighbors)
         # Splice edges: neighbor -> new node (column m) and back.
         rows = np.concatenate([rows, attach, np.full(attach.size, m)])
         cols = np.concatenate([cols, np.full(attach.size, m), attach])
         vals = np.concatenate([vals, np.ones(2 * attach.size)])
         true_deg = np.empty(m + 1)
-        true_deg[:m] = self._true_degrees()[base_nodes]
+        true_deg[:m] = graph.degrees[base_nodes]
         true_deg[attach] += 1.0
         true_deg[m] = float(neighbors.size)
-        rows, cols, vals = self._normalized_block(rows, cols, vals, true_deg)
-        h0 = np.vstack([self._layer0_transform()[base_nodes],
-                        self._query_transform(query.features)[None, :]])
-        return rows, cols, vals, h0, m
+        rows, cols, vals = _blocks.normalized_block(rows, cols, vals, true_deg)
+        block_h0 = np.vstack([h0[base_nodes],
+                              self._query_transform(query.features)[None, :]])
+        return rows, cols, vals, block_h0, m
 
     def encode_unseen(self, query: EgoQuery) -> np.ndarray:
         """Embedding the frozen encoder would give the spliced node."""
         with span("serve.splice_encode", neighbors=int(query.neighbors.size)):
-            block = self._splice_block(query)
-            return self._forward(self._block_csr(block), block[3])[block[4]]
+            self.validate_query(query)
+            rows, cols, vals, h0, center = self._splice_block(
+                query, *self._bound())
+            a_n = _blocks.block_csr(rows, cols, vals, h0.shape[0])
+            return self.artifact.encoder.propagate(a_n, h0).data[center]
 
     def spliced_graph(self, query: EgoQuery) -> Tuple[Graph, int]:
         """The full base graph with the query node appended (offline oracle).
@@ -345,66 +312,49 @@ class InductiveEncoder:
         the graph and the new node's id.
         """
         self.validate_query(query)
-        n = self.graph.num_nodes
-        base = self.graph.adjacency
+        graph = self.graph
+        n = graph.num_nodes
         link = np.zeros((n, 1))
         link[query.neighbors, 0] = 1.0
         adjacency = sp.bmat(
-            [[base, sp.csr_matrix(link)], [sp.csr_matrix(link.T), None]],
+            [[graph.adjacency, sp.csr_matrix(link)],
+             [sp.csr_matrix(link.T), None]],
             format="csr",
         )
-        features = np.vstack([self.graph.features, query.features[None, :]])
+        features = np.vstack([graph.features, query.features[None, :]])
         # Label-free: the query node has no ground truth, and embedding the
         # spliced graph never reads labels.
         return Graph(adjacency, features, labels=None,
-                     name=f"{self.graph.name}[+1]"), n
+                     name=f"{graph.name}[+1]"), n
 
     # ------------------------------------------------------------------
     # Microbatched encoding
     # ------------------------------------------------------------------
-    def _fused_ego_blocks(
-        self, centers: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized multi-source ego extraction for a batch of known nodes.
-
-        The kernel (``key = block * N + node`` tagging, one BFS, one row
-        gather, one ``searchsorted``) lives in
-        :func:`repro.scale.blocks.fused_ego_blocks`; this wrapper slices
-        the served ``H0`` cache for the block's global node ids.  Returns
-        ``(rows, cols, vals, h0, offsets, centers_local)`` where offsets
-        are the block boundaries in the concatenated node order.
-        """
-        fused = _blocks.fused_ego_blocks(
-            self.graph.adjacency, centers, self.radius,
-            degrees=self._true_degrees())
-        return (fused.rows, fused.cols, fused.vals,
-                self._layer0_transform()[fused.nodes],
-                fused.offsets, fused.centers)
-
     def encode_batch(
         self, items: Sequence[Union[int, np.integer, EgoQuery]]
     ) -> List[np.ndarray]:
         """Encode a mixed batch of node ids and splice queries at once.
 
-        Known-node items share one fused extraction (see
-        :meth:`_fused_ego_blocks`); splice queries contribute per-item
-        blocks.  Everything is stacked block-diagonally into a single
-        forward pass — this is the amortization the microbatcher buys.
-        Item validation errors raise before any encoding happens; the
-        batcher validates per-item first so one bad request cannot poison
-        a batch.
+        Known-node items share one fused extraction
+        (:func:`repro.scale.blocks.fused_ego_blocks`); splice queries
+        contribute per-item blocks.  Everything is stacked block-diagonally
+        into a single forward pass — this is the amortization the
+        microbatcher buys.  Item validation errors raise before any
+        encoding happens; the batcher validates per-item first so one bad
+        request cannot poison a batch.
         """
         if not items:
             return []
         node_slots: List[int] = []
         centers: List[int] = []
-        splices: List[Tuple[int, _EgoBlock]] = []
+        queries: List[Tuple[int, EgoQuery]] = []
         for slot, item in enumerate(items):
             if isinstance(item, EgoQuery):
-                splices.append((slot, self._splice_block(item)))
+                queries.append((slot, self.validate_query(item)))
             else:
                 node_slots.append(slot)
                 centers.append(self._check_node(item))
+        graph, h0 = self._bound()
         with span("serve.batch_encode", size=len(items)):
             chunks_rows: List[np.ndarray] = []
             chunks_cols: List[np.ndarray] = []
@@ -413,32 +363,34 @@ class InductiveEncoder:
             boundaries = [0]
             local_centers: List[int] = []
             if centers:
-                rows, cols, vals, h0, offsets, fused_centers = (
-                    self._fused_ego_blocks(np.asarray(centers, dtype=np.int64)))
-                chunks_rows.append(rows)
-                chunks_cols.append(cols)
-                chunks_vals.append(vals)
-                chunks_h0.append(h0)
-                boundaries.extend(int(o) for o in offsets[1:])
-                local_centers.extend(int(c) for c in fused_centers)
-            for _, block in splices:
+                fused = _blocks.fused_ego_blocks(
+                    graph.adjacency, np.asarray(centers, dtype=np.int64),
+                    self.radius, degrees=graph.degrees)
+                chunks_rows.append(fused.rows)
+                chunks_cols.append(fused.cols)
+                chunks_vals.append(fused.vals)
+                chunks_h0.append(h0[fused.nodes])
+                boundaries.extend(int(o) for o in fused.offsets[1:])
+                local_centers.extend(int(c) for c in fused.centers)
+            for _, query in queries:
+                rows, cols, vals, block_h0, center = self._splice_block(
+                    query, graph, h0)
                 shift = boundaries[-1]
-                chunks_rows.append(block[0] + shift)
-                chunks_cols.append(block[1] + shift)
-                chunks_vals.append(block[2])
-                chunks_h0.append(block[3])
-                boundaries.append(shift + block[3].shape[0])
-                local_centers.append(block[4])
+                chunks_rows.append(rows + shift)
+                chunks_cols.append(cols + shift)
+                chunks_vals.append(vals)
+                chunks_h0.append(block_h0)
+                boundaries.append(shift + block_h0.shape[0])
+                local_centers.append(center)
             offsets = np.asarray(boundaries, dtype=np.int64)
-            total = int(offsets[-1])
-            a_n = sp.csr_matrix(
-                (np.concatenate(chunks_vals),
-                 (np.concatenate(chunks_rows), np.concatenate(chunks_cols))),
-                shape=(total, total))
-            stacked = self._forward(a_n, np.vstack(chunks_h0))
+            a_n = _blocks.block_csr(
+                np.concatenate(chunks_rows), np.concatenate(chunks_cols),
+                np.concatenate(chunks_vals), int(offsets[-1]))
+            stacked = self.artifact.encoder.propagate(
+                a_n, np.vstack(chunks_h0)).data
             per_block = split_union_embeddings(stacked, offsets)
         results: List[Optional[np.ndarray]] = [None] * len(items)
-        ordered_slots = node_slots + [slot for slot, _ in splices]
+        ordered_slots = node_slots + [slot for slot, _ in queries]
         for slot, embedding, center in zip(ordered_slots, per_block, local_centers):
             results[slot] = embedding[center]
         return results

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs import Graph, GraphConstructionError
+from repro.graphs import Graph, GraphConstructionError, normalized_adjacency
 
 
 class TestConstruction:
@@ -216,6 +216,57 @@ class TestCopyAndWith:
         g2 = triangle_graph.with_adjacency(sp.csr_matrix((3, 3)))
         assert g2.num_edges == 0
         np.testing.assert_allclose(g2.features, triangle_graph.features)
+
+
+class TestOperator:
+    """``Graph.a_n``: the GCN operator, derived once per graph object."""
+
+    def test_bit_equal_to_normalized_adjacency(self, small_er_graph):
+        expected = normalized_adjacency(small_er_graph.adjacency)
+        a_n = small_er_graph.a_n
+        np.testing.assert_array_equal(a_n.indptr, expected.indptr)
+        np.testing.assert_array_equal(a_n.indices, expected.indices)
+        np.testing.assert_array_equal(a_n.data, expected.data)
+
+    def test_computed_once_per_object(self, small_er_graph, monkeypatch):
+        import repro.graphs.adjacency as adjacency
+
+        calls = []
+        original = adjacency.normalized_adjacency
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(adjacency, "normalized_adjacency", counting)
+        first = small_er_graph.a_n
+        assert small_er_graph.a_n is first
+        assert len(calls) == 1
+
+    def test_with_features_successor_shares_it(self, small_er_graph):
+        a_n = small_er_graph.a_n
+        degrees = small_er_graph.degrees
+        successor = small_er_graph.with_features(
+            np.zeros_like(small_er_graph.features))
+        assert successor.a_n is a_n
+        assert successor.degrees is degrees
+
+    def test_mutated_successor_gets_its_own(self, small_er_graph):
+        from repro.stream import Delta, MutableGraph
+
+        mutable = MutableGraph(small_er_graph)
+        before = mutable.as_graph()
+        old = before.a_n
+        u = 0
+        v = next(w for w in range(1, small_er_graph.num_nodes)
+                 if not small_er_graph.has_edge(u, w))
+        mutable.apply([Delta(op="add_edge", u=u, v=v, seq=0)])
+        after = mutable.as_graph()
+        assert after.a_n is not old
+        assert after.a_n.nnz == old.nnz + 2
+        expected = normalized_adjacency(after.adjacency)
+        np.testing.assert_array_equal(after.a_n.toarray(), expected.toarray())
+        assert before.a_n is old
 
 
 class TestInterop:

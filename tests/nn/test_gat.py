@@ -48,7 +48,13 @@ class TestGAT:
         """Reconstruct the first layer's alphas and check normalization."""
         model = GAT(5, 4, 4, num_layers=1, seed=0)
         layer: GATLayer = model.layers[0]
-        edges = model._directed_edges(path_graph)
+        coo = path_graph.a_n.tocoo()
+        edges = np.stack([coo.row, coo.col], axis=1)
+        # The operator's pattern is A + I: every edge plus each self-loop.
+        loops = add_self_loops(path_graph.adjacency).tocoo()
+        np.testing.assert_array_equal(
+            edges, np.stack([loops.row, loops.col], axis=1))
+        assert (coo.row == coo.col).sum() == path_graph.num_nodes
         wh = ops.matmul(Tensor(path_graph.features), layer.weight)
         src, dst = edges[:, 0], edges[:, 1]
         s_src = ops.index(ops.reshape(ops.matmul(wh, layer.attn_src), (5,)), src)
@@ -57,6 +63,19 @@ class TestGAT:
         alpha = _segment_softmax(raw, dst, 5).data
         for v in range(5):
             assert alpha[dst == v].sum() == pytest.approx(1.0)
+
+    def test_forward_matches_self_looped_edge_list_reference(
+            self, small_er_graph):
+        """Edges taken from ``a_n``'s pattern give the same floats as the
+        ``add_self_loops`` edge list the layers were written against."""
+        model = GAT(6, 16, 8, num_layers=2, seed=0)
+        loops = add_self_loops(small_er_graph.adjacency).tocoo()
+        edges = np.stack([loops.row, loops.col], axis=1)
+        h = Tensor(small_er_graph.features)
+        for layer in model.layers:
+            h = layer(edges, small_er_graph.num_nodes, h)
+        out = model(small_er_graph.a_n, small_er_graph.features)
+        np.testing.assert_array_equal(out.data, h.data)
 
     def test_isolated_node_attends_to_itself(self, isolated_node_graph):
         model = GAT(3, 8, 4, seed=0)
@@ -69,7 +88,9 @@ class TestGAT:
         losses = []
         for _ in range(40):
             optimizer.zero_grad()
-            loss = functional.cross_entropy(model(small_er_graph), small_er_graph.labels)
+            loss = functional.cross_entropy(
+                model(small_er_graph.a_n, small_er_graph.features),
+                small_er_graph.labels)
             loss.backward()
             optimizer.step()
             losses.append(loss.item())

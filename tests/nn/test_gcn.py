@@ -1,4 +1,4 @@
-"""GCN encoder: Eq. (1) semantics, training behaviour, caching."""
+"""GCN encoder: Eq. (1) semantics, training behaviour, the prepared operator."""
 
 import numpy as np
 import pytest
@@ -32,7 +32,7 @@ class TestGCNLayer:
 class TestGCN:
     def test_output_shape(self, small_er_graph):
         model = GCN(6, 16, 8, num_layers=2, seed=0)
-        h = model(small_er_graph)
+        h = model(small_er_graph.a_n, small_er_graph.features)
         assert h.shape == (30, 8)
 
     def test_embed_returns_array(self, small_er_graph):
@@ -70,8 +70,25 @@ class TestGCN:
     def test_adjacency_cache_invalidates_on_new_graph(self, small_er_graph, path_graph):
         model = GCN(6, 8, 4, seed=0)
         model.embed(small_er_graph)
-        h = model(path_graph, features=Tensor(np.zeros((5, 6))))
+        h = model(path_graph.a_n, Tensor(np.zeros((5, 6))))
         assert h.shape == (5, 4)
+
+    def test_forward_is_a_pure_function_of_the_operator(self, small_er_graph):
+        """``forward(a_n, x)`` reads nothing but its arguments: the result
+        over ``graph.a_n`` equals the result over a fresh normalization."""
+        model = GCN(6, 16, 8, seed=0)
+        x = small_er_graph.features
+        via_graph = model(small_er_graph.a_n, x).data
+        fresh = model(normalized_adjacency(small_er_graph.adjacency), x).data
+        np.testing.assert_array_equal(via_graph, fresh)
+
+    def test_propagate_from_first_layer_transform_matches_forward(
+            self, small_er_graph):
+        model = GCN(6, 16, 8, num_layers=3, seed=0)
+        a_n, x = small_er_graph.a_n, small_er_graph.features
+        h0 = x @ model.layers[0].weight.data
+        np.testing.assert_array_equal(
+            model.propagate(a_n, h0).data, model(a_n, x).data)
 
     def test_training_reduces_supervised_loss(self, small_er_graph):
         model = GCN(6, 16, 2, seed=0)
@@ -80,7 +97,8 @@ class TestGCN:
         losses = []
         for _ in range(80):
             optimizer.zero_grad()
-            loss = functional.cross_entropy(model(small_er_graph), labels)
+            loss = functional.cross_entropy(
+                model(small_er_graph.a_n, small_er_graph.features), labels)
             loss.backward()
             optimizer.step()
             losses.append(loss.item())

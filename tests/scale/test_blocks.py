@@ -123,7 +123,7 @@ class TestFusedEgoBlocks:
         centers = np.array([0, 3, 9], dtype=np.int64)
         fused = fused_ego_blocks(adj, centers, radius=2, degrees=degrees)
         assert isinstance(fused, BlockDiagonal)
-        matrix = fused.matrix()
+        matrix = block_csr(fused.rows, fused.cols, fused.vals, fused.num_rows)
         assert fused.offsets[0] == 0
         assert fused.offsets[-1] == fused.num_rows
         for i, center in enumerate(centers):

@@ -117,6 +117,52 @@ class TestUnionBlockEncoding:
             encoder.encode_nodes(bad)
 
 
+class TestRebindRace:
+    """An encode reads the served ``(graph, H0)`` binding once, so a rebind
+    landing between block extraction and the forward cannot tear a row."""
+
+    @pytest.mark.parametrize("kernel", ["sub_triplets", "fused_ego_blocks"])
+    def test_rebind_mid_encode_serves_one_graph(
+            self, registry, tiny_cora, monkeypatch, kernel):
+        from repro.scale import blocks
+
+        artifact = registry.get().artifact
+        encoder = InductiveEncoder(artifact, tiny_cora)
+        encoder.encode_nodes([0])  # warm the H0 cache the rebind patches
+        neighbor = int(tiny_cora.neighbors(0)[0])
+        far = next(w for w in range(1, tiny_cora.num_nodes)
+                   if w != neighbor and not tiny_cora.has_edge(neighbor, w))
+        mutable = MutableGraph(tiny_cora)
+        mutable.apply([
+            Delta(op="add_edge", u=neighbor, v=far, seq=0),
+            Delta(op="update_features", node=neighbor,
+                  features=[0.5] * tiny_cora.num_features, seq=1),
+        ])
+        mutated = mutable.as_graph()
+        old = artifact.embed(tiny_cora)[0]
+        new = artifact.embed(mutated)[0]
+        assert np.abs(old - new).max() > 1e-6  # the deltas reach node 0
+
+        original = getattr(blocks, kernel)
+        fired = []
+
+        def racing(*args, **kwargs):
+            if not fired:
+                fired.append(True)
+                encoder.rebind_graph(mutated, refreshed_rows=[neighbor])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(blocks, kernel, racing)
+        if kernel == "sub_triplets":
+            row = encoder.encode_nodes([0])[0]
+        else:
+            row = encoder.encode_batch([0])[0]
+        assert fired
+        assert encoder.graph is mutated
+        assert any(np.allclose(row, ref, rtol=0, atol=1e-12)
+                   for ref in (old, new))
+
+
 class TestUnseenNodes:
     def _query(self, graph, neighbors, seed=0):
         rng = np.random.default_rng(seed)

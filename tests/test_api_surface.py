@@ -50,9 +50,9 @@ def test_public_classes_have_documented_methods():
     """Public methods of the flagship classes are documented."""
     from repro.core import E2GCL, E2GCLTrainer
     from repro.graphs import Graph
-    from repro.nn import GCN
+    from repro.nn import GAT, GCN
 
-    for cls in (E2GCL, E2GCLTrainer, Graph, GCN):
+    for cls in (E2GCL, E2GCLTrainer, Graph, GCN, GAT):
         for name, member in inspect.getmembers(cls, predicate=inspect.isfunction):
             if name.startswith("_"):
                 continue

@@ -5,9 +5,10 @@ The autograd layer ships fused kernels for the two hottest compositions —
 ``linear_act`` (``activation(X W + b)``, the MLP layer).  They are
 bit-identical to the op-by-op chains but skip the intermediate arrays and
 graph nodes, so model code must use them.  This AST lint fails when a
-module under ``src/repro/nn/`` or ``src/repro/baselines/`` spells the
-chain out by hand: an activation call (``relu``/``leaky_relu``/``elu``/
-``tanh``/``sigmoid``) applied directly to an ``spmm``/``matmul`` result,
+module under ``src/repro/nn/``, ``src/repro/baselines/``,
+``src/repro/scale/`` or ``src/repro/serve/`` spells the chain out by
+hand: an activation call (``relu``/``leaky_relu``/``elu``/``tanh``/
+``sigmoid``) applied directly to an ``spmm``/``matmul`` result,
 optionally with an ``add``/``+`` bias in between.
 
 Compositions where the add does *not* wrap an ``spmm``/``matmul`` (e.g.
@@ -28,7 +29,12 @@ from typing import List, Optional
 ROOT = Path(__file__).resolve().parent.parent
 
 #: Directories whose modules must use the fused kernels.
-CHECKED_DIRS = ("src/repro/nn", "src/repro/baselines")
+CHECKED_DIRS = (
+    "src/repro/nn",
+    "src/repro/baselines",
+    "src/repro/scale",
+    "src/repro/serve",
+)
 
 ACTIVATION_NAMES = ("relu", "leaky_relu", "elu", "tanh", "sigmoid")
 

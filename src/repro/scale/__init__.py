@@ -22,9 +22,7 @@ See ``docs/SCALE.md`` for the operational guide.
 """
 
 from .blocks import (
-    BlockDiagonal,
     block_csr,
-    fused_ego_blocks,
     gather_rows,
     grow_ego,
     normalized_block,
@@ -42,7 +40,6 @@ from .sampler import NeighborSampler, SampledBlock
 from .step import SampledTrainStep, ScaleConfig
 
 __all__ = [
-    "BlockDiagonal",
     "DEFAULT_CHUNK_BUDGET",
     "FeatureStore",
     "GraphPartition",
@@ -53,7 +50,6 @@ __all__ = [
     "bfs_partition",
     "block_csr",
     "blockwise_propagated_features",
-    "fused_ego_blocks",
     "gather_rows",
     "grow_ego",
     "normalized_block",

@@ -14,16 +14,13 @@ callers need no locking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 __all__ = [
-    "BlockDiagonal",
     "block_csr",
-    "fused_ego_blocks",
     "gather_rows",
     "grow_ego",
     "normalized_block",
@@ -111,85 +108,9 @@ def normalized_block(
     return out_rows, out_cols, out_vals
 
 
-@dataclass
-class BlockDiagonal:
-    """A batch's block-diagonal normalized adjacency in COO triplet form.
-
-    ``nodes`` holds the *global* id of every concatenated local row (block
-    by block), ``offsets`` the block boundaries (``offsets[i]:offsets[i+1]``
-    is block ``i``'s row range), and ``centers`` each block's seed as a
-    block-local index.  Consumers slice whatever per-node payload they own
-    — serve its cached ``H0 = X W_0`` rows, training the raw features.
-    """
-
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-    nodes: np.ndarray
-    offsets: np.ndarray
-    centers: np.ndarray
-
-    @property
-    def num_rows(self) -> int:
-        return int(self.nodes.shape[0])
-
-
 def block_csr(
     rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, size: int
 ) -> sp.csr_matrix:
     """Canonicalize COO triplets into an ``(size, size)`` CSR block."""
     return sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
 
-
-def fused_ego_blocks(
-    adjacency: sp.csr_matrix,
-    centers: np.ndarray,
-    radius: int,
-    degrees: Optional[np.ndarray] = None,
-) -> BlockDiagonal:
-    """Vectorized multi-source ego extraction for a batch of nodes.
-
-    Every node is tagged with its block id (``key = block * N + node``,
-    strictly increasing by construction), so one BFS, one row gather, and
-    one ``searchsorted`` against the key array produce the entire batch's
-    *block-diagonal* normalized adjacency directly — the amortization
-    unbatched requests structurally cannot have.
-
-    Each block is built independently (node ``v`` appearing in two egos
-    gets two distinct local rows), which is what per-item isolation in
-    serving requires.  Training batches that only read seed rows should
-    prefer a single union block (see :mod:`repro.scale.sampler`), which
-    shares overlapping neighborhoods instead of duplicating them.
-    """
-    centers = np.asarray(centers, dtype=np.int64)
-    if degrees is None:
-        degrees = true_degrees(adjacency)
-    n_graph = adjacency.shape[0]
-    k = centers.shape[0]
-    keys = np.arange(k, dtype=np.int64) * n_graph + centers
-    for _ in range(radius):
-        rows, cols, _ = gather_rows(adjacency, keys % n_graph)
-        if cols.size == 0:
-            break
-        grown = np.union1d(keys, (keys[rows] // n_graph) * n_graph + cols)
-        if grown.size == keys.size:
-            break
-        keys = grown
-    all_nodes = keys % n_graph
-    all_blocks = keys // n_graph
-    rows, cols, vals = gather_rows(adjacency, all_nodes)
-    col_keys = all_blocks[rows] * n_graph + cols
-    pos = np.searchsorted(keys, col_keys)
-    clipped = np.minimum(pos, keys.size - 1)
-    keep = (keys[clipped] == col_keys) & (cols != all_nodes[rows])
-    rows, cols, vals = normalized_block(
-        rows[keep], pos[keep], vals[keep], degrees[all_nodes])
-    offsets = np.searchsorted(all_blocks, np.arange(k + 1))
-    centers_local = (
-        np.searchsorted(keys, np.arange(k, dtype=np.int64) * n_graph + centers)
-        - offsets[:-1]
-    )
-    return BlockDiagonal(
-        rows=rows, cols=cols, vals=vals,
-        nodes=all_nodes, offsets=offsets, centers=centers_local,
-    )

@@ -1,8 +1,8 @@
 """Seeded L-hop neighbor sampling for mini-batch training.
 
-Produces one *union* block per batch (ShaDow/Cluster-GCN style, not the
-per-seed block-diagonal copies serving uses): every node reached within
-``L`` hops of any seed gets a single local row, so overlapping
+Produces one *union* block per batch (ShaDow/Cluster-GCN style, the
+same construction serving uses for known nodes): every node reached
+within ``L`` hops of any seed gets a single local row, so overlapping
 neighborhoods are shared instead of duplicated.  A node's neighborhood is
 drawn once, when the BFS first expands it, and the resulting block is
 reused by every layer.

@@ -29,10 +29,11 @@ The served graph and its ``H0`` travel as one ``(graph, H0)`` binding that
 :meth:`InductiveEncoder.rebind_graph` swaps whole; each encode reads it
 once, so a concurrent rebind never mixes two graphs into one row.
 
-Known nodes encode through :meth:`InductiveEncoder.encode_nodes`: one
-union L-hop block around all requested ids and one forward, so repairing
-a thousand stale rows after a graph mutation shares their overlapping
-neighborhoods instead of re-extracting an ego per row.
+Known nodes are encoded from one union L-hop block around all requested
+ids, built in one place (:meth:`InductiveEncoder._known_block`), so
+repairing a thousand stale rows after a graph mutation, or a microbatch
+of reads, shares their overlapping neighborhoods instead of extracting an
+ego per id.
 
 Unseen nodes (:class:`EgoQuery`: features + neighbor ids) are spliced
 against the cached base graph: the query's L-hop neighborhood is the
@@ -40,9 +41,9 @@ against the cached base graph: the query's L-hop neighborhood is the
 by one for each new edge, and only this delta subgraph is encoded — never
 the full graph.
 
-Batched encoding concatenates per-query triplets with block offsets (one
-adjacency build, one forward pass for the whole microbatch) and splits the
-result with :func:`repro.graphs.batch.split_union_embeddings`.
+Batched encoding stacks the known-node union block and one block per
+splice query block-diagonally (one adjacency build, one forward pass for
+the whole microbatch) and picks each item's row from the stacked output.
 """
 
 from __future__ import annotations
@@ -56,14 +57,14 @@ import scipy.sparse as sp
 
 from ..core.serialization import EncoderArtifact
 from ..graphs import Graph
-from ..graphs.batch import split_union_embeddings
 from ..obs import span
 from ..scale import blocks as _blocks
 from .errors import MalformedQueryError, UnknownNodeError
 
-#: (rows, cols, data) of a normalized ego block, its local h0 rows, and the
-#: center's local index — everything one batch member contributes.
-_EgoBlock = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]
+#: (rows, cols, data) of a normalized block, its local h0 rows, and the
+#: local index of each center — everything one batch member contributes.
+_EgoBlock = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                  Union[int, np.ndarray]]
 
 
 @dataclass
@@ -210,27 +211,35 @@ class InductiveEncoder:
             raise self._out_of_range(int(bad[0]))
         return ids
 
-    def encode_nodes(self, nodes) -> np.ndarray:
-        """Embeddings of existing nodes, one row per id in the caller's order.
+    def _known_block(self, ids: np.ndarray, graph: Graph,
+                     h0: np.ndarray) -> _EgoBlock:
+        """Normalized triplets + h0 rows + local rows of existing ``ids``.
 
         All ids share one union L-hop block around the unique seeds (the
         exact-fanout :class:`repro.scale.NeighborSampler` construction):
         every node within L - k hops of a seed has its full parent row in
         the block, so each seed's row equals the full-graph forward while
         overlapping neighborhoods are propagated once, not once per id.
+        Duplicate ids map to the same local row.
         """
+        block = _blocks.grow_ego(graph.adjacency, ids, self.radius)
+        rows, cols, vals = _blocks.sub_triplets(graph.adjacency, block)
+        rows, cols, vals = _blocks.normalized_block(
+            rows, cols, vals, graph.degrees[block])
+        return rows, cols, vals, h0[block], np.searchsorted(block, ids)
+
+    def encode_nodes(self, nodes) -> np.ndarray:
+        """Embeddings of existing nodes, one row per id in the caller's order,
+        from one forward over their union L-hop block."""
         ids = self._check_nodes(nodes)
         graph, h0 = self._bound()
         with span("serve.inductive_encode", rows=int(ids.size)):
             if ids.size == 0:
                 return np.empty((0, self.artifact.embedding_dim))
-            block = _blocks.grow_ego(graph.adjacency, ids, self.radius)
-            rows, cols, vals = _blocks.sub_triplets(graph.adjacency, block)
-            rows, cols, vals = _blocks.normalized_block(
-                rows, cols, vals, graph.degrees[block])
-            a_n = _blocks.block_csr(rows, cols, vals, block.size)
-            out = self.artifact.encoder.propagate(a_n, h0[block]).data
-            return out[np.searchsorted(block, ids)]
+            rows, cols, vals, block_h0, local = self._known_block(
+                ids, graph, h0)
+            a_n = _blocks.block_csr(rows, cols, vals, block_h0.shape[0])
+            return self.artifact.encoder.propagate(a_n, block_h0).data[local]
 
     def encode_node(self, node: int) -> np.ndarray:
         """Embedding of an existing node from its ego subgraph only."""
@@ -335,13 +344,13 @@ class InductiveEncoder:
     ) -> List[np.ndarray]:
         """Encode a mixed batch of node ids and splice queries at once.
 
-        Known-node items share one fused extraction
-        (:func:`repro.scale.blocks.fused_ego_blocks`); splice queries
-        contribute per-item blocks.  Everything is stacked block-diagonally
-        into a single forward pass — this is the amortization the
-        microbatcher buys.  Item validation errors raise before any
-        encoding happens; the batcher validates per-item first so one bad
-        request cannot poison a batch.
+        Known-node items share one union block (the :meth:`encode_nodes`
+        construction; duplicate ids are fine); each splice query keeps its
+        own block, so its degree bumps never reach another item.  The
+        blocks are stacked block-diagonally into a single forward pass —
+        this is the amortization the microbatcher buys.  Item validation
+        errors raise before any encoding happens; the batcher validates
+        per-item first so one bad request cannot poison a batch.
         """
         if not items:
             return []
@@ -356,41 +365,33 @@ class InductiveEncoder:
                 centers.append(self._check_node(item))
         graph, h0 = self._bound()
         with span("serve.batch_encode", size=len(items)):
+            parts: List[_EgoBlock] = []
+            if centers:
+                parts.append(self._known_block(
+                    np.asarray(centers, dtype=np.int64), graph, h0))
+            parts.extend(self._splice_block(query, graph, h0)
+                         for _, query in queries)
             chunks_rows: List[np.ndarray] = []
             chunks_cols: List[np.ndarray] = []
             chunks_vals: List[np.ndarray] = []
             chunks_h0: List[np.ndarray] = []
-            boundaries = [0]
-            local_centers: List[int] = []
-            if centers:
-                fused = _blocks.fused_ego_blocks(
-                    graph.adjacency, np.asarray(centers, dtype=np.int64),
-                    self.radius, degrees=graph.degrees)
-                chunks_rows.append(fused.rows)
-                chunks_cols.append(fused.cols)
-                chunks_vals.append(fused.vals)
-                chunks_h0.append(h0[fused.nodes])
-                boundaries.extend(int(o) for o in fused.offsets[1:])
-                local_centers.extend(int(c) for c in fused.centers)
-            for _, query in queries:
-                rows, cols, vals, block_h0, center = self._splice_block(
-                    query, graph, h0)
-                shift = boundaries[-1]
+            picks = []
+            shift = 0
+            for rows, cols, vals, block_h0, local in parts:
                 chunks_rows.append(rows + shift)
                 chunks_cols.append(cols + shift)
                 chunks_vals.append(vals)
                 chunks_h0.append(block_h0)
-                boundaries.append(shift + block_h0.shape[0])
-                local_centers.append(center)
-            offsets = np.asarray(boundaries, dtype=np.int64)
+                picks.append(local + shift)
+                shift += block_h0.shape[0]
             a_n = _blocks.block_csr(
                 np.concatenate(chunks_rows), np.concatenate(chunks_cols),
-                np.concatenate(chunks_vals), int(offsets[-1]))
+                np.concatenate(chunks_vals), shift)
             stacked = self.artifact.encoder.propagate(
                 a_n, np.vstack(chunks_h0)).data
-            per_block = split_union_embeddings(stacked, offsets)
+            picked = stacked[np.hstack(picks)]
         results: List[Optional[np.ndarray]] = [None] * len(items)
         ordered_slots = node_slots + [slot for slot, _ in queries]
-        for slot, embedding, center in zip(ordered_slots, per_block, local_centers):
-            results[slot] = embedding[center]
+        for slot, embedding in zip(ordered_slots, picked):
+            results[slot] = embedding
         return results

@@ -30,7 +30,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Callable, Deque, List, Optional
+from typing import Callable, Deque, List, Optional, Tuple
 
 import numpy as np
 
@@ -219,6 +219,8 @@ WARMING = "warming"
 READY = "ready"
 DEGRADED = "degraded"
 DRAINING = "draining"
+#: States in which a load balancer should route traffic here.
+_ROUTABLE = (READY, DEGRADED)
 
 
 class ServerHealth:
@@ -308,36 +310,52 @@ class ServerHealth:
                     f"{self.p99_watermark_ms:.1f}ms")
         return reasons
 
+    def _derive(self) -> Tuple[str, List[str]]:
+        """The state and its degraded reasons from one reading (lock held)."""
+        if self._draining:
+            return DRAINING, []
+        if not self._warmed:
+            return WARMING, []
+        reasons = self._degraded_reasons()
+        return (DEGRADED if reasons else READY), reasons
+
     @property
     def state(self) -> str:
         with self._lock:
-            if self._draining:
-                return DRAINING
-            if not self._warmed:
-                return WARMING
-            return DEGRADED if self._degraded_reasons() else READY
+            return self._derive()[0]
 
     @property
     def ready(self) -> bool:
         """Whether a load balancer should route traffic here."""
-        return self.state in (READY, DEGRADED)
+        return self.state in _ROUTABLE
+
+    def readiness(self) -> dict:
+        """``ready`` and ``state`` from one derivation (the ``ready`` op)."""
+        state = self.state
+        return {"ready": state in _ROUTABLE, "state": state}
 
     def check_admitting(self) -> None:
-        """Raise :class:`NotReadyError` when the server no longer admits."""
-        if self.state == DRAINING:
+        """Raise :class:`NotReadyError` when the server no longer admits.
+
+        Only draining stops admission, so this reads the flag alone and
+        never derives the full state (the p99 watermark's percentile) on
+        the per-request path.
+        """
+        with self._lock:
+            draining = self._draining
+        if draining:
             raise NotReadyError("server is draining; not admitting new work",
                                 state=DRAINING)
 
     def describe(self) -> dict:
         """JSON-ready health report (the ``health`` op's payload)."""
         with self._lock:
-            reasons = [] if self._draining or not self._warmed \
-                else self._degraded_reasons()
+            state, reasons = self._derive()
             outcomes = len(self._outcomes)
             shed = sum(self._outcomes)
         return {
-            "state": self.state,
-            "ready": self.ready,
+            "state": state,
+            "ready": state in _ROUTABLE,
             "reasons": reasons,
             "window": {"outcomes": outcomes, "shed": shed},
             "shed_rate_threshold": self.shed_rate_threshold,

@@ -515,7 +515,7 @@ class EmbeddingServer:
 
     def _op_ready(self, request: dict, version_id: Optional[str],
                   deadline: Optional[Deadline]) -> dict:
-        return {"ready": self.health.ready, "state": self.health.state}
+        return self.health.readiness()
 
     def _op_rollout(self, request: dict, version_id: Optional[str],
                     deadline: Optional[Deadline]) -> dict:
@@ -710,10 +710,9 @@ def _make_handler(server: EmbeddingServer):
                                   "health": server.health.describe(),
                                   "models": server.registry.versions()})
             elif path == "/readyz":
-                ready = server.health.ready
-                self._reply(200 if ready else 503,
-                            {"ok": ready, "ready": ready,
-                             "state": server.health.state})
+                readiness = server.health.readiness()
+                ready = readiness["ready"]
+                self._reply(200 if ready else 503, {"ok": ready, **readiness})
             else:
                 self._reply(404, {"ok": False, "error": {
                     "code": "not_found", "message": f"no route {self.path}",

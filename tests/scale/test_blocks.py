@@ -1,7 +1,6 @@
 """Oracle tests for the shared CSR block-extraction kernels.
 
-Every kernel is checked against a naive scipy construction, and the fused
-multi-source builder against independently built per-seed blocks — plus a
+Every kernel is checked against a naive scipy construction — plus a
 regression pinning the serve encoder bit-identical through the extraction
 move (its batch outputs must still equal the offline embeddings exactly).
 """
@@ -12,9 +11,7 @@ import scipy.sparse as sp
 
 from repro.graphs import normalized_adjacency
 from repro.scale import (
-    BlockDiagonal,
     block_csr,
-    fused_ego_blocks,
     gather_rows,
     grow_ego,
     normalized_block,
@@ -108,43 +105,6 @@ class TestNormalizedBlock:
             np.empty(0), np.zeros(1))
         block = block_csr(rows, cols, vals, 1).toarray()
         np.testing.assert_array_equal(block, [[1.0]])
-
-
-class TestFusedEgoBlocks:
-    def _naive_block(self, adj, degrees, center, radius):
-        nodes = grow_ego(adj, np.array([center]), radius)
-        rows, cols, vals = sub_triplets(adj, nodes)
-        rows, cols, vals = normalized_block(rows, cols, vals, degrees[nodes])
-        return nodes, block_csr(rows, cols, vals, nodes.size)
-
-    def test_matches_per_seed_naive_blocks(self, graph):
-        adj = graph.adjacency
-        degrees = true_degrees(adj)
-        centers = np.array([0, 3, 9], dtype=np.int64)
-        fused = fused_ego_blocks(adj, centers, radius=2, degrees=degrees)
-        assert isinstance(fused, BlockDiagonal)
-        matrix = block_csr(fused.rows, fused.cols, fused.vals, fused.num_rows)
-        assert fused.offsets[0] == 0
-        assert fused.offsets[-1] == fused.num_rows
-        for i, center in enumerate(centers):
-            nodes, naive = self._naive_block(adj, degrees, int(center), 2)
-            lo, hi = int(fused.offsets[i]), int(fused.offsets[i + 1])
-            np.testing.assert_array_equal(fused.nodes[lo:hi], nodes)
-            np.testing.assert_array_equal(
-                matrix[lo:hi, lo:hi].toarray(), naive.toarray())
-            # The block is purely diagonal: nothing outside its window.
-            assert matrix[lo:hi].sum() == pytest.approx(
-                matrix[lo:hi, lo:hi].sum())
-            assert nodes[fused.centers[i]] == center
-
-    def test_duplicate_centers_get_independent_blocks(self, graph):
-        centers = np.array([2, 2], dtype=np.int64)
-        fused = fused_ego_blocks(graph.adjacency, centers, radius=1)
-        lo0, hi0, hi1 = (int(fused.offsets[0]), int(fused.offsets[1]),
-                         int(fused.offsets[2]))
-        np.testing.assert_array_equal(
-            fused.nodes[lo0:hi0], fused.nodes[hi0:hi1])
-        assert fused.centers[0] == fused.centers[1]
 
 
 class TestServeRegression:

@@ -121,9 +121,9 @@ class TestRebindRace:
     """An encode reads the served ``(graph, H0)`` binding once, so a rebind
     landing between block extraction and the forward cannot tear a row."""
 
-    @pytest.mark.parametrize("kernel", ["sub_triplets", "fused_ego_blocks"])
+    @pytest.mark.parametrize("entry", ["encode_nodes", "encode_batch"])
     def test_rebind_mid_encode_serves_one_graph(
-            self, registry, tiny_cora, monkeypatch, kernel):
+            self, registry, tiny_cora, monkeypatch, entry):
         from repro.scale import blocks
 
         artifact = registry.get().artifact
@@ -143,7 +143,7 @@ class TestRebindRace:
         new = artifact.embed(mutated)[0]
         assert np.abs(old - new).max() > 1e-6  # the deltas reach node 0
 
-        original = getattr(blocks, kernel)
+        original = blocks.sub_triplets
         fired = []
 
         def racing(*args, **kwargs):
@@ -152,11 +152,8 @@ class TestRebindRace:
                 encoder.rebind_graph(mutated, refreshed_rows=[neighbor])
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(blocks, kernel, racing)
-        if kernel == "sub_triplets":
-            row = encoder.encode_nodes([0])[0]
-        else:
-            row = encoder.encode_batch([0])[0]
+        monkeypatch.setattr(blocks, "sub_triplets", racing)
+        row = getattr(encoder, entry)([0])[0]
         assert fired
         assert encoder.graph is mutated
         assert any(np.allclose(row, ref, rtol=0, atol=1e-12)
@@ -224,6 +221,18 @@ class TestBatchedEncoding:
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(batch[2], encoder.encode_node(11),
                                    rtol=0, atol=1e-12)
+
+    def test_duplicate_known_ids_beside_a_splice(self, encoder, tiny_cora):
+        """Known ids share one union block stacked beside the splice's own
+        block; neither perturbs the other by a single bit."""
+        rng = np.random.default_rng(5)
+        query = EgoQuery(features=rng.normal(size=tiny_cora.num_features),
+                         neighbors=[3, 9, 14])
+        ids = [17, 3, 17, 0, 3]
+        batch = encoder.encode_batch(ids[:2] + [query] + ids[2:])
+        known = batch[:2] + batch[3:]
+        assert np.array_equal(np.stack(known), encoder.encode_nodes(ids))
+        assert np.array_equal(batch[2], encoder.encode_unseen(query))
 
     def test_empty_batch(self, encoder):
         assert encoder.encode_batch([]) == []

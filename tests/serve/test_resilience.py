@@ -215,6 +215,39 @@ class TestServerHealth:
         health.mark_ready()  # cannot resurrect a draining server
         assert health.state == DRAINING
 
+    def test_check_admitting_never_derives_state(self, monkeypatch):
+        """The per-request admission check reads the drain flag alone; the
+        watermark's percentile (up to 262k samples) stays off that path."""
+        from repro.serve.metrics import LatencyHistogram
+
+        metrics = ServeMetrics()
+        health = ServerHealth(metrics, p99_watermark_ms=50.0)
+        health.mark_ready()
+        metrics.observe("embed", 0.010)
+
+        def exploding(self, q):
+            raise AssertionError("check_admitting computed a percentile")
+
+        monkeypatch.setattr(LatencyHistogram, "percentile", exploding)
+        health.check_admitting()
+        health.start_drain()
+        with pytest.raises(NotReadyError):
+            health.check_admitting()
+
+    def test_describe_derives_state_once(self, monkeypatch):
+        """``state``, ``ready`` and ``reasons`` come from one derivation, so
+        a signal flipping mid-report cannot make them disagree."""
+        health = ServerHealth()
+        health.mark_ready()
+        answers = iter([["flapping"], []] * 4)
+        monkeypatch.setattr(health, "_degraded_reasons",
+                            lambda: next(answers))
+        for _ in range(4):
+            report = health.describe()
+            assert report["state"] == (
+                DEGRADED if report["reasons"] else READY)
+            assert report["ready"] is True
+
     def test_describe_is_json_shaped(self):
         health = ServerHealth()
         report = health.describe()

@@ -59,6 +59,20 @@ class TestProtocol:
         stats = client.request({"op": "stats"})["stats"]
         assert "latency" in stats and "cache" in stats
 
+    def test_ready_derives_state_once(self, client, server, monkeypatch):
+        server.health.mark_ready()
+        calls = []
+
+        def flapping():
+            calls.append(None)
+            return ["flapping"] if len(calls) % 2 else []
+
+        monkeypatch.setattr(server.health, "_degraded_reasons", flapping)
+        response = client.request({"op": "ready"})
+        assert response["ok"] and response["ready"] is True
+        assert response["state"] == "degraded"
+        assert len(calls) == 1
+
     def test_embed_unseen_node(self, client, tiny_cora):
         response = client.request({
             "op": "embed",

@@ -5,17 +5,23 @@ Two extension features working together:
 1. Sec. IV-C's *Remarks* note that E2GCL's edge/feature scores depend only
    on raw graph data — any GNN encoder can consume the generated views.
    Here the default GCN is swapped for a GAT.
-2. A pre-trained model is checkpointed to one ``.npz`` and restored in a
-   fresh process-like context, then applied to a *different* graph with the
-   same feature space (transfer).
+2. A pre-training run writes a v2 engine checkpoint, which
+   ``export_encoder`` turns into a frozen encoder artifact, then applied to
+   a *different* graph with the same feature space (transfer).
 
     python examples/encoder_swap_and_checkpoint.py
 """
 
+import os
+import tempfile
+
 import numpy as np
 
-from repro import E2GCL, load_dataset
-from repro.core import E2GCLConfig, E2GCLTrainer, load_model, save_model
+from repro import load_dataset
+from repro.baselines import get_method
+from repro.core import E2GCLConfig, E2GCLTrainer
+from repro.core.serialization import export_encoder
+from repro.engine import PeriodicCheckpoint
 from repro.eval import evaluate_embeddings
 from repro.nn import GAT
 
@@ -33,23 +39,21 @@ def main() -> None:
           f"(final loss {result.final_loss:.4f})")
 
     # --- 2. Checkpoint the standard model and transfer ----------------
-    model = E2GCL(epochs=30, seed=0).fit(graph)
-    base_acc = model.evaluate(trials=3).test_accuracy
-    path = save_model(model, "e2gcl_cora.npz")
-    print(f"E2GCL + GCN encoder: accuracy {base_acc}; checkpoint -> {path}")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "e2gcl_cora.npz")
+        method = get_method("e2gcl", epochs=30, seed=0)
+        method.fit(graph, hooks=[PeriodicCheckpoint(path, every=30)])
+        base_acc = evaluate_embeddings(graph, method.embed(graph), trials=3).test_accuracy
+        print(f"E2GCL + GCN encoder: accuracy {base_acc}; checkpoint -> {path}")
 
-    restored = load_model(path)
-    same = np.allclose(restored.embed(graph), model.embed())
-    print(f"Restored model reproduces embeddings exactly: {same}")
+        artifact = export_encoder(path)
+    same = np.array_equal(artifact.embed(graph), method.embed(graph))
+    print(f"Exported encoder reproduces embeddings exactly: {same}")
 
     # Transfer: embed a different draw of the same domain without retraining.
     other = load_dataset("cora", seed=123)
-    transferred = evaluate_embeddings(other, restored.embed(other), trials=3).test_accuracy
+    transferred = evaluate_embeddings(other, artifact.embed(other), trials=3).test_accuracy
     print(f"Zero-shot transfer to a fresh graph: accuracy {transferred}")
-
-    import os
-
-    os.remove(path)
 
 
 if __name__ == "__main__":

@@ -8,8 +8,8 @@ Public surface::
 
 from . import functional, init, ops
 from .gradcheck import GradcheckResult, gradcheck
-from .module import Module, Parameter, Sequential
-from .optim import SGD, Adam, AdamW, CosineAnnealingLR, ExponentialLR, global_grad_norm
+from .module import Module, Parameter
+from .optim import SGD, Adam, AdamW, global_grad_norm
 from .tensor import (
     Tensor,
     default_dtype,
@@ -28,12 +28,9 @@ __all__ = [
     "GradcheckResult",
     "Parameter",
     "Module",
-    "Sequential",
     "SGD",
     "Adam",
     "AdamW",
-    "ExponentialLR",
-    "CosineAnnealingLR",
     "global_grad_norm",
     "ops",
     "functional",

@@ -70,17 +70,6 @@ def l2_regularization(parameters, coefficient: float) -> Tensor:
     return ops.mul(total, coefficient)
 
 
-def pairwise_sq_euclidean(a: Tensor, b: Tensor) -> Tensor:
-    """All-pairs squared euclidean distances between rows of ``a`` and ``b``.
-
-    Returns an ``(n_a, n_b)`` tensor; differentiable in both inputs.
-    """
-    a_sq = ops.sum(ops.mul(a, a), axis=1, keepdims=True)          # (n_a, 1)
-    b_sq = ops.sum(ops.mul(b, b), axis=1, keepdims=True)          # (n_b, 1)
-    cross = ops.matmul(a, ops.transpose(b))                        # (n_a, n_b)
-    return ops.add(ops.sub(a_sq, ops.mul(cross, 2.0)), ops.transpose(b_sq))
-
-
 def rowwise_sq_euclidean(a: Tensor, b: Tensor) -> Tensor:
     """Squared euclidean distance between corresponding rows of ``a`` and ``b``."""
     diff = ops.sub(a, b)

@@ -102,18 +102,3 @@ class Module:
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
-
-
-class Sequential(Module):
-    """Chain modules; each one must be callable with a single tensor."""
-
-    def __init__(self, *modules: Module) -> None:
-        super().__init__()
-        self.layers = list(modules)
-        for i, module in enumerate(modules):
-            setattr(self, f"layer_{i}", module)
-
-    def forward(self, x):
-        for module in self.layers:
-            x = module(x)
-        return x

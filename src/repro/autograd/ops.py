@@ -409,19 +409,6 @@ def concat(tensors: Sequence[ArrayOrTensor], axis: int = 0) -> Tensor:
     return _make(out_data, tuple(tensors), backward)
 
 
-def stack_rows(tensors: Sequence[ArrayOrTensor]) -> Tensor:
-    """Stack 1-D tensors into a 2-D tensor along a new leading axis."""
-    tensors = [ensure_tensor(t) for t in tensors]
-    out_data = np.stack([t.data for t in tensors], axis=0)
-
-    def backward(grad: np.ndarray) -> None:
-        for i, tensor in enumerate(tensors):
-            if tensor.requires_grad:
-                tensor._accumulate_grad(grad[i])
-
-    return _make(out_data, tuple(tensors), backward)
-
-
 # ----------------------------------------------------------------------
 # Normalization / regularization
 # ----------------------------------------------------------------------
@@ -456,18 +443,6 @@ def dropout(a: ArrayOrTensor, rate: float, rng: np.random.Generator, training: b
             a._accumulate_grad(grad * mask, donate=True)
 
     return _make(out_data, (a,), backward)
-
-
-def row_norms(a: ArrayOrTensor, eps: float = 1e-12) -> Tensor:
-    """Euclidean norm of each row, returned as a 1-D tensor."""
-    a = ensure_tensor(a)
-    norms = np.sqrt((a.data ** 2).sum(axis=1) + eps)
-
-    def backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate_grad(a.data * (grad / norms)[:, None], donate=True)
-
-    return _make(norms, (a,), backward)
 
 
 # ----------------------------------------------------------------------

@@ -192,32 +192,3 @@ class AdamW(Adam):
             super().step()
         finally:
             self.weight_decay = decay
-
-
-class ExponentialLR:
-    """Multiply the optimizer's learning rate by ``gamma`` each epoch."""
-
-    def __init__(self, optimizer: Optimizer, gamma: float) -> None:
-        self.optimizer = optimizer
-        self.gamma = gamma
-
-    def step(self) -> None:
-        self.optimizer.lr *= self.gamma
-
-
-class CosineAnnealingLR:
-    """Cosine schedule from the initial LR down to ``eta_min`` over ``t_max`` steps."""
-
-    def __init__(self, optimizer: Optimizer, t_max: int, eta_min: float = 0.0) -> None:
-        if t_max <= 0:
-            raise ValueError("t_max must be positive")
-        self.optimizer = optimizer
-        self.t_max = t_max
-        self.eta_min = eta_min
-        self.base_lr = optimizer.lr
-        self._t = 0
-
-    def step(self) -> None:
-        self._t = min(self._t + 1, self.t_max)
-        cos = 0.5 * (1.0 + np.cos(np.pi * self._t / self.t_max))
-        self.optimizer.lr = self.eta_min + (self.base_lr - self.eta_min) * cos

@@ -27,7 +27,7 @@ from .representativity import (
     build_cluster_model,
     representativity_cost,
 )
-from .serialization import load_model, save_model
+from .serialization import load_model
 from .scores import (
     EdgeScoreTable,
     FeatureScoreTable,
@@ -63,7 +63,6 @@ __all__ = [
     "compute_edge_scores",
     "compute_feature_scores",
     "similarity_offset",
-    "save_model",
     "load_model",
     "EdgeScoreTable",
     "FeatureScoreTable",

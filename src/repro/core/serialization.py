@@ -12,18 +12,16 @@ Two layers live here:
   :func:`save_artifact` / :func:`load_artifact` (crash-safe writes, SHA-256
   digest validated on load) — this is what ``repro.serve`` consumes.
 
-* ``save_model`` / ``load_model`` — the legacy E2GCL-only facade format
+* ``load_model`` — the reader for the legacy E2GCL-only facade format
   (v1: encoder parameters + config + coreset, no resume).  **Deprecated**:
-  it predates the engine and only understands the E2GCL facade; new code
-  should write v2 engine checkpoints (:mod:`repro.engine.checkpoint`) and
-  rehydrate through :func:`export_encoder`, which reads both formats.  The
-  v1 reader/writer stays as a shim for published E2GCL model files and
-  warns on use.
+  nothing writes v1 files any more; write v2 engine checkpoints
+  (:mod:`repro.engine.checkpoint`) and rehydrate through
+  :func:`export_encoder`, which reads both formats.  The v1 reader stays
+  as a shim for published E2GCL model files and warns on use.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import re
 import warnings
@@ -322,43 +320,6 @@ def load_artifact(path: Union[str, Path]) -> EncoderArtifact:
 # ----------------------------------------------------------------------
 # Legacy v1 facade format (deprecated shim)
 # ----------------------------------------------------------------------
-def _warn_v1(api: str) -> None:
-    warnings.warn(
-        f"{api} uses the legacy E2GCL-only v1 format; write v2 engine "
-        "checkpoints (repro.engine) and rehydrate with export_encoder "
-        "instead — export_encoder still reads v1 files",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def save_model(model: E2GCL, path: Union[str, Path]) -> Path:
-    """Serialize a fitted :class:`E2GCL` to ``path`` (``.npz``, v1).
-
-    .. deprecated:: engine v2 checkpoints + :func:`export_encoder` replace
-       this E2GCL-only path; kept as a shim for published model files.
-    """
-    _warn_v1("save_model")
-    if model.result is None:
-        raise RuntimeError("cannot save an unfitted model; call fit() first")
-    path = Path(path)
-    payload = {
-        f"param/{name}": array
-        for name, array in model.result.encoder.state_dict().items()
-    }
-    payload["meta/config"] = pack_json(dataclasses.asdict(model.config))
-    payload["meta/version"] = np.array([_FORMAT_VERSION])
-    payload["meta/in_features"] = np.array([model.result.encoder.layers[0].weight.shape[0]])
-    coreset = model.result.coreset
-    if coreset is not None:
-        payload["coreset/selected"] = coreset.selected
-        payload["coreset/weights"] = coreset.weights
-        payload["coreset/assignment"] = coreset.assignment
-    # Crash-safe like the engine's v2 writer: a kill mid-save can never
-    # leave a truncated file under the model's name.
-    return atomic_savez(path, payload)
-
-
 def load_model(path: Union[str, Path]) -> E2GCL:
     """Rebuild a fitted :class:`E2GCL` from a v1 checkpoint.
 
@@ -368,7 +329,13 @@ def load_model(path: Union[str, Path]) -> E2GCL:
     .. deprecated:: prefer :func:`export_encoder`, which reads both the v1
        facade files and v2 engine checkpoints for every registered method.
     """
-    _warn_v1("load_model")
+    warnings.warn(
+        "load_model uses the legacy E2GCL-only v1 format; write v2 engine "
+        "checkpoints (repro.engine) and rehydrate with export_encoder "
+        "instead — export_encoder still reads v1 files",
+        DeprecationWarning,
+        stacklevel=2,
+    )
     path = Path(path)
     with np.load(path, allow_pickle=False) as data:
         version = int(data["meta/version"][0])

@@ -3,8 +3,7 @@
 One loop owns everything method-agnostic about pre-training:
 
 * **optimizer construction** from the step's trainable parameters (no
-  method builds its own ``Adam`` — enforced by
-  ``tools/check_engine_adoption.py``);
+  method builds its own ``Adam`` — enforced by ``tools/lint.py``);
 * **epoch iteration** with an ordered hook pipeline (``on_run_start``,
   ``on_setup``, ``on_epoch_start``, ``on_epoch_end``, ``on_failure``,
   ``on_checkpoint``, ``on_stop``);

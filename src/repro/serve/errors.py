@@ -9,8 +9,8 @@ in-process client and the HTTP endpoint return the same error shape:
 The server front end maps :class:`ServeError` to its envelope directly;
 anything else is a server bug and is wrapped by :func:`internal_error`
 into a 500 envelope carrying the exception *type* but never a traceback —
-no raw stack ever crosses the transport (``tools/check_serve_envelopes.py``
-lints the op dispatchers for this).
+no raw stack ever crosses the transport (``tools/lint.py`` lints the op
+dispatchers for this).
 
 Overload and deadline failures are first-class: an ``overloaded`` envelope
 carries ``retry_after_ms`` so well-behaved clients back off instead of

@@ -33,7 +33,7 @@ payload gets a 400-shaped dict, an unknown node a 404, a stale version a
 anything *else* escaping an op is a server bug that is wrapped into a 500
 ``internal`` envelope (exception type only, never a traceback).  The
 server never dies on a bad query and never swallows one either;
-``tools/check_serve_envelopes.py`` lints the op dispatchers so every
+``tools/lint.py`` lints the op dispatchers so every
 client-visible error goes through :mod:`repro.serve.errors`.
 """
 
@@ -113,7 +113,7 @@ class EmbeddingServer:
     """
 
     #: op name -> bound dispatcher method.  The envelope meta-test walks
-    #: this table; ``tools/check_serve_envelopes.py`` lints every method
+    #: this table; ``tools/lint.py`` lints every method
     #: it names (plus the dispatch helpers) for errors.py-only raises.
     OPS: Dict[str, str] = {
         "embed": "_op_embed",
@@ -471,7 +471,7 @@ class EmbeddingServer:
 
     # ------------------------------------------------------------------
     # Op dispatchers (every raise below must be a repro.serve.errors
-    # constructor — enforced by tools/check_serve_envelopes.py)
+    # constructor — enforced by tools/lint.py)
     # ------------------------------------------------------------------
     def _op_embed(self, request: dict, version_id: Optional[str],
                   deadline: Optional[Deadline]) -> dict:
@@ -526,8 +526,18 @@ class EmbeddingServer:
         knobs = {}
         for key in ("shadow_fraction", "min_shadow", "cosine_threshold",
                     "max_error_rate", "seed"):
-            if key in request:
-                knobs[key] = request[key]
+            if key not in request:
+                continue
+            value = request[key]
+            # Typed here so a bad client value is a 4xx, not a TypeError
+            # inside ModelRollout that surfaces as an internal 500.
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise MalformedQueryError(
+                    f"{key!r} must be a number, got {type(value).__name__}")
+            if key == "seed" and (not isinstance(value, int) or value < 0):
+                raise MalformedQueryError(
+                    f"'seed' must be a non-negative integer, got {value!r}")
+            knobs[key] = value
         rollout = self.start_rollout(candidate, **knobs)
         return {"rollout": rollout.status()}
 

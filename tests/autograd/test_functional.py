@@ -82,13 +82,6 @@ class TestRegularization:
 
 
 class TestDistances:
-    def test_pairwise_sq_euclidean_matches_manual(self):
-        rng = np.random.default_rng(1)
-        a, b = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
-        out = functional.pairwise_sq_euclidean(Tensor(a), Tensor(b)).data
-        manual = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-        np.testing.assert_allclose(out, manual, atol=1e-10)
-
     def test_rowwise_sq_euclidean(self):
         a = np.array([[0.0, 0.0], [1.0, 1.0]])
         b = np.array([[3.0, 4.0], [1.0, 1.0]])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autograd import Module, Parameter, Sequential, Tensor, ops
+from repro.autograd import Module, Parameter, Tensor, ops
 
 
 class Affine(Module):
@@ -91,11 +91,3 @@ class TestGradFlow:
         ops.sum(model(x)).backward()
         assert model.inner.weight.grad[0] == pytest.approx(2.0)
         assert model.bias.grad[0] == pytest.approx(1.0)
-
-
-class TestSequential:
-    def test_chains_modules(self):
-        model = Sequential(Affine(2.0), Affine(5.0))
-        out = model(Tensor(np.array([1.0])))
-        assert out.data[0] == pytest.approx(10.0)
-        assert len(model.parameters()) == 2

@@ -65,7 +65,6 @@ UNARY_CASES = [
     (lambda t: ops.mean(t), X),
     (lambda t: ops.reshape(t, (3, 4)), X),
     (lambda t: ops.l2_normalize_rows(t), X),
-    (lambda t: ops.row_norms(t), X),
 ]
 
 
@@ -168,14 +167,6 @@ class TestGatherConcat:
         out.backward(np.arange(10, dtype=float).reshape(5, 2))
         np.testing.assert_allclose(a.grad, [[0, 1], [2, 3]])
         np.testing.assert_allclose(b.grad, [[4, 5], [6, 7], [8, 9]])
-
-    def test_stack_rows(self):
-        parts = [Tensor(np.full(3, float(i)), requires_grad=True) for i in range(4)]
-        out = ops.stack_rows(parts)
-        assert out.shape == (4, 3)
-        ops.sum(out).backward()
-        for part in parts:
-            np.testing.assert_allclose(part.grad, np.ones(3))
 
 
 class TestDropout:

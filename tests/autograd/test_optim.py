@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autograd import SGD, Adam, AdamW, CosineAnnealingLR, ExponentialLR, Parameter, Tensor, ops
+from repro.autograd import SGD, Adam, AdamW, Parameter, Tensor, ops
 
 
 def quadratic_loss(param: Parameter, target: np.ndarray):
@@ -91,33 +91,3 @@ class TestValidation:
     def test_nonpositive_lr_rejected(self):
         with pytest.raises(ValueError):
             Adam([Parameter(np.zeros(1))], lr=0.0)
-
-
-class TestSchedulers:
-    def test_exponential_decay(self):
-        opt = SGD([Parameter(np.zeros(1))], lr=1.0)
-        sched = ExponentialLR(opt, gamma=0.5)
-        sched.step()
-        sched.step()
-        assert opt.lr == pytest.approx(0.25)
-
-    def test_cosine_annealing_endpoints(self):
-        opt = SGD([Parameter(np.zeros(1))], lr=1.0)
-        sched = CosineAnnealingLR(opt, t_max=10, eta_min=0.0)
-        for _ in range(10):
-            sched.step()
-        assert opt.lr == pytest.approx(0.0, abs=1e-12)
-
-    def test_cosine_monotone_decreasing(self):
-        opt = SGD([Parameter(np.zeros(1))], lr=1.0)
-        sched = CosineAnnealingLR(opt, t_max=5)
-        lrs = []
-        for _ in range(5):
-            sched.step()
-            lrs.append(opt.lr)
-        assert all(a > b for a, b in zip(lrs, lrs[1:]))
-
-    def test_cosine_invalid_tmax(self):
-        opt = SGD([Parameter(np.zeros(1))], lr=1.0)
-        with pytest.raises(ValueError):
-            CosineAnnealingLR(opt, t_max=0)

@@ -1,9 +1,41 @@
 """Model checkpointing."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
-from repro.core import E2GCL, E2GCLConfig, load_model, save_model
+from repro.core import E2GCL, E2GCLConfig, load_model
+
+
+def _write_v1(model, path):
+    """Write a fitted E2GCL in the legacy v1 ``.npz`` layout.
+
+    Nothing in the library writes v1 any more; published files have
+    ``param/<name>`` encoder arrays, ``meta/config`` (the config as JSON
+    bytes), ``meta/version`` = [1], ``meta/in_features`` and, when a coreset
+    was selected, ``coreset/{selected,weights,assignment}``.
+    """
+    encoder = model.result.encoder
+    payload = {f"param/{name}": array
+               for name, array in encoder.state_dict().items()}
+    payload["meta/config"] = np.frombuffer(
+        json.dumps(dataclasses.asdict(model.config)).encode(), dtype=np.uint8)
+    payload["meta/version"] = np.array([1])
+    payload["meta/in_features"] = np.array([encoder.layers[0].weight.shape[0]])
+    coreset = model.result.coreset
+    if coreset is not None:
+        payload["coreset/selected"] = coreset.selected
+        payload["coreset/weights"] = coreset.weights
+        payload["coreset/assignment"] = coreset.assignment
+    np.savez(path, **payload)
+    return path
+
+
+def _load_v1(path):
+    with pytest.warns(DeprecationWarning):
+        return load_model(path)
 
 
 @pytest.fixture(scope="module")
@@ -17,48 +49,42 @@ def fitted(request, tmp_path_factory):
     return graph, model
 
 
+@pytest.fixture(scope="module")
+def v1_file(fitted, tmp_path_factory):
+    return _write_v1(fitted[1], tmp_path_factory.mktemp("v1") / "ckpt.npz")
+
+
 class TestSaveLoad:
-    def test_roundtrip_embeddings_identical(self, fitted, tmp_path):
+    """``load_model`` reading the legacy v1 layout."""
+
+    def test_roundtrip_embeddings_identical(self, fitted, v1_file):
         graph, model = fitted
-        path = save_model(model, tmp_path / "ckpt.npz")
-        restored = load_model(path)
+        restored = _load_v1(v1_file)
         np.testing.assert_allclose(model.embed(graph), restored.embed(graph))
 
-    def test_coreset_preserved(self, fitted, tmp_path):
+    def test_coreset_preserved(self, fitted, v1_file):
         graph, model = fitted
-        restored = load_model(save_model(model, tmp_path / "ckpt.npz"))
+        restored = _load_v1(v1_file)
         np.testing.assert_array_equal(restored.coreset.selected, model.coreset.selected)
         np.testing.assert_array_equal(restored.coreset.weights, model.coreset.weights)
 
-    def test_config_preserved(self, fitted, tmp_path):
+    def test_config_preserved(self, fitted, v1_file):
         graph, model = fitted
-        restored = load_model(save_model(model, tmp_path / "ckpt.npz"))
+        restored = _load_v1(v1_file)
         assert restored.config == model.config
 
-    def test_loaded_model_requires_explicit_graph(self, fitted, tmp_path):
-        graph, model = fitted
-        restored = load_model(save_model(model, tmp_path / "ckpt.npz"))
+    def test_loaded_model_requires_explicit_graph(self, v1_file):
+        restored = _load_v1(v1_file)
         with pytest.raises(ValueError, match="pass one"):
             restored.embed()
 
-    def test_loaded_model_resaves(self, fitted, tmp_path):
-        graph, model = fitted
-        restored = load_model(save_model(model, tmp_path / "a.npz"))
-        again = load_model(save_model(restored, tmp_path / "b.npz"))
-        np.testing.assert_allclose(model.embed(graph), again.embed(graph))
-
-    def test_unfitted_model_rejected(self, tmp_path):
-        with pytest.raises(RuntimeError, match="fit"):
-            save_model(E2GCL(), tmp_path / "x.npz")
-
-    def test_embed_on_new_graph(self, fitted, tmp_path):
+    def test_embed_on_new_graph(self, v1_file):
         """A checkpointed encoder transfers to any graph with matching
         feature dimension (the transfer-learning promise of GCL)."""
         import repro.graphs as graphs
 
-        graph, model = fitted
         other = graphs.load_dataset("cora", seed=99, scale=0.2)
-        restored = load_model(save_model(model, tmp_path / "ckpt.npz"))
+        restored = _load_v1(v1_file)
         h = restored.embed(other)
         assert h.shape == (other.num_nodes, 8)
 
@@ -119,17 +145,12 @@ class TestExportEncoder:
         with pytest.raises(ValueError, match="features"):
             artifact.embed(bad)
 
-    def test_reads_legacy_v1_files(self, fitted, tmp_path):
+    def test_reads_legacy_v1_files(self, fitted, v1_file):
         """export_encoder must keep serving pre-engine E2GCL model files."""
-        import warnings
-
         from repro.core.serialization import export_encoder
 
         graph, model = fitted
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            path = save_model(model, tmp_path / "v1.npz")
-        artifact = export_encoder(path)
+        artifact = export_encoder(v1_file)
         assert artifact.kind == "gcn"
         assert artifact.step_class == "E2GCLTrainer"
         np.testing.assert_allclose(artifact.embed(graph), model.embed(graph))
@@ -210,17 +231,6 @@ class TestArtifactRoundTrip:
 
 
 class TestDeprecatedV1Shim:
-    def test_save_model_warns(self, fitted, tmp_path):
-        graph, model = fitted
-        with pytest.warns(DeprecationWarning, match="v1"):
-            save_model(model, tmp_path / "warned.npz")
-
-    def test_load_model_warns(self, fitted, tmp_path):
-        import warnings
-
-        graph, model = fitted
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            path = save_model(model, tmp_path / "warned.npz")
+    def test_load_model_warns(self, v1_file):
         with pytest.warns(DeprecationWarning, match="export_encoder"):
-            load_model(path)
+            load_model(v1_file)

@@ -112,6 +112,21 @@ class TestRollback:
         again = client.request({"op": "rollback"})
         assert again["ok"] and again["rollout"]["state"] == ROLLED_BACK
 
+    @pytest.mark.parametrize("knob", [
+        {"shadow_fraction": "abc"}, {"seed": "x"}, {"seed": -1},
+        {"cosine_threshold": "hi"}, {"min_shadow": "3"},
+    ], ids=["fraction-str", "seed-str", "seed-negative", "threshold-str",
+            "min-shadow-str"])
+    def test_malformed_knob_is_a_malformed_query(self, server, client,
+                                                 alt_checkpoint, knob):
+        active_id = server.registry.get().version_id
+        response = client.request({"op": "rollout",
+                                   "candidate": str(alt_checkpoint), **knob})
+        assert not response["ok"]
+        assert response["error"]["code"] == "malformed_query"
+        assert server.registry.versions() == [active_id]
+        assert client.request({"op": "rollout_status"})["rollout"] is None
+
     def test_rollback_without_rollout_is_structured(self, client):
         response = client.request({"op": "rollback"})
         assert not response["ok"]

@@ -1,4 +1,4 @@
-"""Wire ``tools/check_fused_adoption.py`` into the suite.
+"""Wire the ``fused`` rule of ``tools/lint.py`` into the suite.
 
 Model code under ``src/repro/nn/`` and ``src/repro/baselines/`` must use
 the fused autograd kernels (``spmm_bias_act``/``linear_act``) instead of
@@ -11,17 +11,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 _spec = importlib.util.spec_from_file_location(
-    "check_fused_adoption", ROOT / "tools" / "check_fused_adoption.py"
-)
-check_fused_adoption = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(check_fused_adoption)
+    "lint", ROOT / "tools" / "lint.py")
+lint = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(lint)
+
+
+def _check(path):
+    return lint.check_file(path, [lint.RULES["fused"]])
 
 
 def test_models_have_no_unfused_chains():
     findings = []
-    for rel in check_fused_adoption.CHECKED_DIRS:
-        for path in sorted((ROOT / rel).rglob("*.py")):
-            findings.extend(check_fused_adoption.check_file(path))
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        findings.extend(_check(path))
     assert not findings, "unfused chains:\n" + "\n".join(findings)
 
 
@@ -31,7 +33,7 @@ def test_detects_relu_over_spmm_add(tmp_path):
         "from repro.autograd import ops\n\n"
         "h = ops.relu(ops.add(ops.spmm(a, x), b))\n"
     )
-    findings = check_fused_adoption.check_file(module)
+    findings = _check(module)
     assert len(findings) == 1
     assert "spmm_bias_act" in findings[0]
 
@@ -41,7 +43,7 @@ def test_detects_bare_activation_over_matmul(tmp_path):
     module.write_text(
         "from repro.autograd import ops\n\nh = ops.tanh(ops.matmul(x, w))\n"
     )
-    findings = check_fused_adoption.check_file(module)
+    findings = _check(module)
     assert len(findings) == 1
     assert "linear_act" in findings[0]
 
@@ -51,7 +53,7 @@ def test_detects_operator_add_chain(tmp_path):
     module.write_text(
         "from repro.autograd import ops\n\nh = ops.elu(ops.spmm(a, x) + b)\n"
     )
-    findings = check_fused_adoption.check_file(module)
+    findings = _check(module)
     assert len(findings) == 1
     assert "spmm_bias_act" in findings[0]
 
@@ -63,7 +65,7 @@ def test_gat_attention_scores_are_not_flagged(tmp_path):
         "from repro.autograd import ops\n\n"
         "raw = ops.leaky_relu(ops.add(score_src, score_dst), 0.2)\n"
     )
-    assert check_fused_adoption.check_file(module) == []
+    assert _check(module) == []
 
 
 def test_activation_over_other_ops_passes(tmp_path):
@@ -72,4 +74,4 @@ def test_activation_over_other_ops_passes(tmp_path):
         "from repro.autograd import ops\n\n"
         "s = ops.sigmoid(ops.mean(h, axis=0, keepdims=True))\n"
     )
-    assert check_fused_adoption.check_file(module) == []
+    assert _check(module) == []

@@ -1,4 +1,4 @@
-"""Wire ``tools/check_serve_envelopes.py`` into the suite.
+"""Wire the serve-envelope check of ``tools/lint.py`` into the suite.
 
 The serving dispatch layer may only raise :class:`ServeError` subclasses
 defined in ``repro/serve/errors.py`` — that is what guarantees every
@@ -15,10 +15,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 _spec = importlib.util.spec_from_file_location(
-    "check_serve_envelopes", ROOT / "tools" / "check_serve_envelopes.py"
-)
-check_serve_envelopes = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(check_serve_envelopes)
+    "lint", ROOT / "tools" / "lint.py")
+lint = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(lint)
 
 
 FAKE_ERRORS = textwrap.dedent(
@@ -44,11 +43,11 @@ def _write(tmp_path, errors_src, server_src):
 
 
 def test_real_server_is_clean():
-    assert check_serve_envelopes.check() == []
+    assert lint.check_envelopes() == []
 
 
 def test_error_registry_includes_resilience_codes():
-    names = check_serve_envelopes.serve_error_classes()
+    names = lint.serve_error_classes()
     assert {"OverloadedError", "NotReadyError", "DeadlineExceededError",
             "SnapshotError", "RolloutError"} <= names
 
@@ -64,7 +63,7 @@ def test_transitive_subclasses_are_allowed(tmp_path):
                 raise NestedError("fine: subclass of a subclass")
         """,
     )
-    assert check_serve_envelopes.check(server_path, errors_path) == []
+    assert lint.check_envelopes(server_path, errors_path) == []
 
 
 def test_flags_non_serve_error_raise(tmp_path):
@@ -78,7 +77,7 @@ def test_flags_non_serve_error_raise(tmp_path):
                 raise ValueError("raw")
         """,
     )
-    findings = check_serve_envelopes.check(server_path, errors_path)
+    findings = lint.check_envelopes(server_path, errors_path)
     assert len(findings) == 1 and "ValueError" in findings[0]
 
 
@@ -96,7 +95,7 @@ def test_flags_bare_raise(tmp_path):
                     raise
         """,
     )
-    findings = check_serve_envelopes.check(server_path, errors_path)
+    findings = lint.check_envelopes(server_path, errors_path)
     assert len(findings) == 1 and "bare 'raise'" in findings[0]
 
 
@@ -111,7 +110,7 @@ def test_flags_op_with_missing_method(tmp_path):
                 return {}
         """,
     )
-    findings = check_serve_envelopes.check(server_path, errors_path)
+    findings = lint.check_envelopes(server_path, errors_path)
     assert len(findings) == 1 and "_op_ghost" in findings[0]
 
 
@@ -129,7 +128,7 @@ def test_flags_orphan_dispatcher(tmp_path):
                 return {}
         """,
     )
-    findings = check_serve_envelopes.check(server_path, errors_path)
+    findings = lint.check_envelopes(server_path, errors_path)
     assert len(findings) == 1 and "_op_orphan" in findings[0]
 
 
@@ -147,5 +146,5 @@ def test_helpers_are_checked_too(tmp_path):
                 raise RuntimeError("raw in helper")
         """,
     )
-    findings = check_serve_envelopes.check(server_path, errors_path)
+    findings = lint.check_envelopes(server_path, errors_path)
     assert len(findings) == 1 and "RuntimeError" in findings[0]

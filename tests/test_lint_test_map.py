@@ -1,5 +1,5 @@
-"""Wire ``tools/check_test_map.py`` into the suite: every ``src/repro``
-module has a test file (or an explicit mapping/allowlist entry)."""
+"""Wire the module-to-test map of ``tools/lint.py`` into the suite: every
+``src/repro`` module has a test file (or a ``COVERED_BY``/``UNTESTED`` entry)."""
 
 import importlib.util
 from pathlib import Path
@@ -7,29 +7,28 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 _spec = importlib.util.spec_from_file_location(
-    "check_test_map", ROOT / "tools" / "check_test_map.py"
-)
-check_test_map = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(check_test_map)
+    "lint", ROOT / "tools" / "lint.py")
+lint = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(lint)
 
 
 def test_every_module_has_a_test_file():
-    problems = check_test_map.check_map()
+    problems = lint.check_test_map()
     assert not problems, "unmapped modules:\n" + "\n".join(problems)
 
 
 def test_default_convention_paths():
-    expected = check_test_map.expected_test_path(
-        check_test_map.SRC / "core" / "trainer.py"
+    expected = lint.expected_test_path(
+        lint.SRC / "core" / "trainer.py"
     )
-    assert expected == check_test_map.TESTS / "core" / "test_trainer.py"
-    expected = check_test_map.expected_test_path(check_test_map.SRC / "cli.py")
-    assert expected == check_test_map.TESTS / "test_cli.py"
+    assert expected == lint.TESTS / "core" / "test_trainer.py"
+    expected = lint.expected_test_path(lint.SRC / "cli.py")
+    assert expected == lint.TESTS / "test_cli.py"
 
 
 def test_covered_by_targets_exist():
     """A renamed test file cannot silently orphan its mapped modules."""
-    for rel, target in check_test_map.COVERED_BY.items():
+    for rel, target in lint.COVERED_BY.items():
         assert (ROOT / rel).is_file(), f"stale COVERED_BY key: {rel}"
         assert (ROOT / target).is_file(), f"missing COVERED_BY target: {target}"
 
@@ -38,35 +37,35 @@ def test_scale_package_has_no_exemptions():
     """Every repro.scale module maps to its conventional tests/scale file —
     the oracle tier is first-class, never routed through COVERED_BY or the
     allowlist."""
-    exempt = set(check_test_map.COVERED_BY) | check_test_map.ALLOWLIST
+    exempt = set(lint.COVERED_BY) | lint.UNTESTED
     scale_modules = sorted(
-        (check_test_map.SRC / "scale").glob("*.py"))
+        (lint.SRC / "scale").glob("*.py"))
     assert scale_modules, "repro.scale has gone missing"
     for module in scale_modules:
         if module.name == "__init__.py":
             continue
         rel = module.relative_to(ROOT).as_posix()
         assert rel not in exempt, f"{rel} must use the default convention"
-        assert check_test_map.expected_test_path(module).is_file()
+        assert lint.expected_test_path(module).is_file()
 
 
 def test_stream_package_has_no_exemptions():
     """Every repro.stream module maps to its conventional tests/stream file —
     the streaming tier carries the oracle-equivalence and chaos guarantees,
     so it is never routed through COVERED_BY or the allowlist."""
-    exempt = set(check_test_map.COVERED_BY) | check_test_map.ALLOWLIST
+    exempt = set(lint.COVERED_BY) | lint.UNTESTED
     stream_modules = sorted(
-        (check_test_map.SRC / "stream").glob("*.py"))
+        (lint.SRC / "stream").glob("*.py"))
     assert stream_modules, "repro.stream has gone missing"
     for module in stream_modules:
         if module.name == "__init__.py":
             continue
         rel = module.relative_to(ROOT).as_posix()
         assert rel not in exempt, f"{rel} must use the default convention"
-        assert check_test_map.expected_test_path(module).is_file()
+        assert lint.expected_test_path(module).is_file()
 
 
 def test_allowlist_is_short_and_real():
-    assert len(check_test_map.ALLOWLIST) <= 3, "keep the allowlist short"
-    for rel in check_test_map.ALLOWLIST:
+    assert len(lint.UNTESTED) <= 3, "keep the allowlist short"
+    for rel in lint.UNTESTED:
         assert (ROOT / rel).is_file(), f"stale allowlist entry: {rel}"

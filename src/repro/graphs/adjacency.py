@@ -8,6 +8,8 @@ pre-processing step ``R = A_n^L X`` (Theorem 1 / Alg. 2 line 1) computed by
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -60,6 +62,65 @@ def normalized_adjacency(
             inv = np.where(degrees > 0, 1.0 / degrees, 0.0)
         return (sp.diags(inv) @ adj).tocsr()
     raise ValueError(f"unknown normalization method {method!r}")
+
+
+def normalized_block(
+    rows: np.ndarray,
+    cols: np.ndarray,
+    vals: np.ndarray,
+    degrees: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Degree-corrected ``D̃^{-1/2}(A+I)D̃^{-1/2}`` as COO triplets.
+
+    ``rows``/``cols``/``vals`` are the off-diagonal entries of a block of
+    ``A`` in local ids and ``degrees`` the block nodes' *parent* degrees.
+    Same arithmetic as :func:`normalized_adjacency` — ``D̃`` from parent
+    degrees (+1 for the renormalization self-loop), scale rows then
+    columns — so every entry equals the corresponding full-graph float
+    exactly.  The ``n`` diagonal entries follow the off-diagonal ones.
+    """
+    n = degrees.shape[0]
+    tilde = degrees + 1.0
+    with np.errstate(divide="ignore"):
+        inv_sqrt = np.where(tilde > 0, tilde ** -0.5, 0.0)
+    diag = np.arange(n, dtype=np.int64)
+    out_rows = np.concatenate([rows, diag])
+    out_cols = np.concatenate([cols, diag])
+    out_vals = np.concatenate([vals, np.ones(n)])
+    out_vals = (out_vals * inv_sqrt[out_rows]) * inv_sqrt[out_cols]
+    return out_rows, out_cols, out_vals
+
+
+def normalized_csr(adjacency: sp.csr_matrix,
+                   degrees: np.ndarray) -> sp.csr_matrix:
+    """``D̃^{-1/2}(A+I)D̃^{-1/2}`` of a whole :class:`Graph` as canonical CSR.
+
+    ``adjacency`` holds the :class:`Graph` invariants (binary, symmetric,
+    no self-loops, sorted indices) and ``degrees`` are its row sums.  The
+    entries are :func:`normalized_block` over the graph's own CSR, and
+    each row's diagonal entry is written at its sorted place, so the
+    result equals :func:`normalized_adjacency` bit for bit without
+    scipy's ``diag @ A @ diag`` products.
+    """
+    n = adjacency.shape[0]
+    indptr, indices = adjacency.indptr, adjacency.indices
+    nnz = indices.size
+    edge_rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    _, _, vals = normalized_block(edge_rows, indices, adjacency.data, degrees)
+    # Row r gains one entry, so its edges shift right by r (the diagonals
+    # of earlier rows), plus one more past its own diagonal.
+    below = indices < edge_rows
+    edge_pos = np.arange(nnz) + edge_rows + ~below
+    diag = np.arange(n, dtype=np.int64)
+    diag_pos = indptr[:-1] + diag + np.bincount(edge_rows[below], minlength=n)
+    out_indices = np.empty(nnz + n, dtype=np.int64)
+    out_data = np.empty(nnz + n)
+    out_indices[edge_pos] = indices
+    out_indices[diag_pos] = diag
+    out_data[edge_pos] = vals[:nnz]
+    out_data[diag_pos] = vals[nnz:]
+    out_indptr = np.asarray(indptr, dtype=np.int64) + np.arange(n + 1)
+    return sp.csr_matrix((out_data, out_indices, out_indptr), shape=(n, n))
 
 
 def propagated_features(graph: Graph, hops: int, method: str = "symmetric") -> np.ndarray:

@@ -269,9 +269,9 @@ class Graph:
         graph (or over a :meth:`with_features` successor) reads one matrix.
         """
         if self._a_n is None:
-            from .adjacency import normalized_adjacency
+            from .adjacency import normalized_csr
 
-            self._a_n = normalized_adjacency(self.adjacency)
+            self._a_n = normalized_csr(self.adjacency, self.degrees)
         return self._a_n
 
     @property

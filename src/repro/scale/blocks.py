@@ -14,10 +14,13 @@ callers need no locking.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
+
+# One copy of the degree-corrected arithmetic, shared with ``Graph.a_n``.
+from ..graphs.adjacency import normalized_block
 
 __all__ = [
     "block_csr",
@@ -54,16 +57,23 @@ def gather_rows(
     return rows, adjacency.indices[source], adjacency.data[source]
 
 
-def grow_ego(adjacency: sp.csr_matrix, seeds: np.ndarray, hops: int) -> np.ndarray:
-    """Sorted node ids within ``hops`` of any seed (vectorized BFS)."""
+def grow_ego(adjacency: sp.csr_matrix, seeds: np.ndarray, hops: int,
+             limit: Optional[int] = None) -> Optional[np.ndarray]:
+    """Sorted node ids within ``hops`` of any seed (vectorized BFS).
+
+    With a ``limit``, growth stops as soon as the union holds more than
+    ``limit`` nodes and the result is ``None``.
+    """
     nodes = np.unique(np.asarray(seeds, dtype=np.int64))
     for _ in range(hops):
+        if limit is not None and nodes.size > limit:
+            break
         _, cols, _ = gather_rows(adjacency, nodes)
         grown = np.union1d(nodes, cols)
         if grown.size == nodes.size:
             break
         nodes = grown
-    return nodes
+    return None if limit is not None and nodes.size > limit else nodes
 
 
 def sub_triplets(
@@ -81,31 +91,6 @@ def sub_triplets(
     clipped = np.minimum(pos, nodes.size - 1)
     keep = (nodes[clipped] == cols) & (cols != nodes[rows])
     return rows[keep], pos[keep], vals[keep]
-
-
-def normalized_block(
-    rows: np.ndarray,
-    cols: np.ndarray,
-    vals: np.ndarray,
-    degrees: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Degree-corrected ``D̃^{-1/2}(A+I)D̃^{-1/2}`` as COO triplets.
-
-    Same arithmetic as :func:`repro.graphs.adjacency.normalized_adjacency`
-    restricted to the block — ``D̃`` from *parent* degrees (+1 for the
-    renormalization self-loop), scale rows then columns — so every entry
-    equals the corresponding full-graph float exactly.
-    """
-    n = degrees.shape[0]
-    tilde = degrees + 1.0
-    with np.errstate(divide="ignore"):
-        inv_sqrt = np.where(tilde > 0, tilde ** -0.5, 0.0)
-    diag = np.arange(n, dtype=np.int64)
-    out_rows = np.concatenate([rows, diag])
-    out_cols = np.concatenate([cols, diag])
-    out_vals = np.concatenate([vals, np.ones(n)])
-    out_vals = (out_vals * inv_sqrt[out_rows]) * inv_sqrt[out_cols]
-    return out_rows, out_cols, out_vals
 
 
 def block_csr(

@@ -366,13 +366,18 @@ class EmbeddingServer:
                 raise MalformedQueryError(
                     "an unseen-node query needs 'features'"
                 )
+            neighbors = request.get("neighbors", [])
+            if not isinstance(neighbors, list) or any(
+                    isinstance(v, bool) or not isinstance(v, (int, np.integer))
+                    for v in neighbors):
+                raise MalformedQueryError(
+                    "'neighbors' must be a flat list of integer node ids")
             try:
                 query = EgoQuery(
                     features=np.asarray(request["features"], dtype=np.float64),
-                    neighbors=np.asarray(request.get("neighbors", []),
-                                         dtype=np.int64),
+                    neighbors=np.asarray(neighbors, dtype=np.int64),
                 )
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise MalformedQueryError(
                     f"cannot parse unseen-node query: {exc}"
                 ) from exc

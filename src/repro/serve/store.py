@@ -37,7 +37,12 @@ from ..engine import (
 )
 from ..graphs import Graph
 from ..obs import emit_event, span
-from .errors import SnapshotError, StaleVersionError, UnknownNodeError
+from .errors import (
+    MalformedQueryError,
+    SnapshotError,
+    StaleVersionError,
+    UnknownNodeError,
+)
 from .metrics import ServeMetrics
 from .registry import ModelRegistry, ModelVersion
 
@@ -323,8 +328,7 @@ class EmbeddingStore:
         row ``nodes[i]``.  A full :meth:`snapshot` repairs every stale row
         of a version with one call; a stale single-row read passes one
         id.  The server installs :meth:`InductiveEncoder.encode_nodes`
-        here, whose union-block forward equals the full forward at every
-        requested node.
+        here, whose rows equal the full forward at every requested node.
         """
         self._row_computer = fn
 
@@ -484,7 +488,7 @@ class EmbeddingStore:
 
     def _check_node(self, node_id) -> int:
         if isinstance(node_id, bool) or not isinstance(node_id, (int, np.integer)):
-            raise UnknownNodeError(
+            raise MalformedQueryError(
                 f"node id must be an integer, got {type(node_id).__name__}",
                 node=repr(node_id),
             )

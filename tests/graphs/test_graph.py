@@ -232,13 +232,13 @@ class TestOperator:
         import repro.graphs.adjacency as adjacency
 
         calls = []
-        original = adjacency.normalized_adjacency
+        original = adjacency.normalized_csr
 
         def counting(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(adjacency, "normalized_adjacency", counting)
+        monkeypatch.setattr(adjacency, "normalized_csr", counting)
         first = small_er_graph.a_n
         assert small_er_graph.a_n is first
         assert len(calls) == 1

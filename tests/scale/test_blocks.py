@@ -65,6 +65,14 @@ class TestGrowEgo:
         expected = np.union1d(graph.ego_nodes(0, 2), graph.ego_nodes(4, 2))
         np.testing.assert_array_equal(got, expected)
 
+    def test_limit_is_a_cut_on_the_union_size(self, graph):
+        seeds = np.array([0, 4])
+        full = grow_ego(graph.adjacency, seeds, 2)
+        np.testing.assert_array_equal(
+            grow_ego(graph.adjacency, seeds, 2, limit=full.size), full)
+        assert grow_ego(graph.adjacency, seeds, 2, limit=full.size - 1) is None
+        assert grow_ego(graph.adjacency, seeds, 0, limit=1) is None
+
 
 class TestSubTriplets:
     def test_matches_scipy_submatrix_minus_diagonal(self, graph):

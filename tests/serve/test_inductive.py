@@ -60,7 +60,7 @@ class TestKnownNodes:
             encoder.encode_node(tiny_cora.num_nodes)
         with pytest.raises(UnknownNodeError):
             encoder.encode_node(-3)
-        with pytest.raises(UnknownNodeError):
+        with pytest.raises(MalformedQueryError):
             encoder.encode_node(True)
 
     def test_transductive_artifact_rejected(self, tiny_cora):
@@ -113,8 +113,64 @@ class TestUnionBlockEncoding:
     @pytest.mark.parametrize("bad", [[0, 10_000], [-1], [2, 7.5], ["3"],
                                      [True]])
     def test_invalid_ids_rejected(self, encoder, bad):
-        with pytest.raises(UnknownNodeError):
+        """Out-of-range ids are unknown nodes; ids of another type are
+        malformed."""
+        typed = all(isinstance(v, int) and not isinstance(v, bool)
+                    for v in bad)
+        with pytest.raises(UnknownNodeError if typed else MalformedQueryError):
             encoder.encode_nodes(bad)
+
+
+class TestWholeGraphCut:
+    """Past ``WHOLE_GRAPH_SHARE`` of the graph, ``encode_nodes`` (the
+    store's repair path) runs one forward over ``graph.a_n`` instead of a
+    union block.  Rows on both sides of the cut are the offline floats,
+    before and after a delta."""
+
+    #: Union 2-hop blocks of 33 and 173 of the 175 ``tiny_cora`` nodes.
+    SMALL = [17, 0, 7, 0]
+    LARGE = list(range(0, 175, 3))
+
+    @pytest.fixture
+    def block_calls(self, monkeypatch):
+        from repro.scale import blocks
+
+        calls = []
+        for name in ("sub_triplets", "block_csr"):
+            def spy(*args, _original=getattr(blocks, name), _name=name,
+                    **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(blocks, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("ids,whole_graph",
+                             [(SMALL, False), (LARGE, True)])
+    def test_rows_equal_offline_before_and_after_a_delta(
+            self, registry, tiny_cora, block_calls, ids, whole_graph):
+        artifact = registry.get().artifact
+        encoder = InductiveEncoder(artifact, tiny_cora)
+        ids = np.asarray(ids)
+        assert np.array_equal(encoder.encode_nodes(ids),
+                              artifact.embed(tiny_cora)[ids])
+
+        # Structural deltas only: a refreshed feature row's ``H0`` comes
+        # from a one-row product, which need not match the full one's bits.
+        far = next(w for w in range(1, tiny_cora.num_nodes)
+                   if not tiny_cora.has_edge(0, w))
+        mutable = MutableGraph(tiny_cora)
+        mutable.apply([
+            Delta(op="add_edge", u=0, v=far, seq=0),
+            Delta(op="remove_edge", u=7, v=int(tiny_cora.neighbors(7)[0]),
+                  seq=1),
+        ])
+        mutated = mutable.as_graph()
+        encoder.rebind_graph(mutated)
+        assert np.array_equal(encoder.encode_nodes(ids),
+                              artifact.embed(mutated)[ids])
+        # Only the small union builds a block.
+        assert (not block_calls) is whole_graph
 
 
 class TestRebindRace:

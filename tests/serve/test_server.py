@@ -134,6 +134,17 @@ class TestStructuredErrors:
         ("embed 5", "malformed_query", 400),
         (None, "malformed_query", 400),
         ({"op": "embed", "node": 1, "version": 7}, "malformed_query", 400),
+        ({"op": "embed", "node": "abc"}, "malformed_query", 400),
+        ({"op": "embed", "node": 1.5}, "malformed_query", 400),
+        ({"op": "embed", "node": True}, "malformed_query", 400),
+        ({"op": "neighbors", "node": "abc"}, "malformed_query", 400),
+        ({"op": "neighbors", "node": 1.5}, "malformed_query", 400),
+        ({"op": "neighbors", "node": True}, "malformed_query", 400),
+        ({"op": "classify", "node": "abc"}, "malformed_query", 400),
+        ({"op": "classify", "node": 1.5}, "malformed_query", 400),
+        ({"op": "classify", "node": True}, "malformed_query", 400),
+        ({"op": "neighbors", "node": 10 ** 9}, "unknown_node", 404),
+        ({"op": "classify", "node": -1}, "unknown_node", 404),
     ])
     def test_error_envelope(self, client, request_payload, code, status):
         response = client.request(request_payload)
@@ -146,6 +157,15 @@ class TestStructuredErrors:
         assert server.metrics.errors.get("unknown_node", 0) >= 1
         # The server must keep answering after an error.
         assert client.request({"op": "embed", "node": 0})["ok"]
+
+    @pytest.mark.parametrize("neighbors", [[[0]], [1.5], [True], ["3"],
+                                           [2 ** 70], 3])
+    def test_splice_neighbors_must_be_a_flat_int_list(self, client, tiny_cora,
+                                                      neighbors):
+        response = client.request({
+            "op": "embed", "features": tiny_cora.features[0].tolist(),
+            "neighbors": neighbors})
+        assert response["error"]["code"] == "malformed_query"
 
     def test_duplicate_splice_neighbors_rejected(self, client, tiny_cora):
         response = client.request({

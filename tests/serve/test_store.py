@@ -12,6 +12,7 @@ from repro.obs import Tracer
 from repro.resilience import FaultPlan
 from repro.serve import (
     EmbeddingStore,
+    MalformedQueryError,
     ServeMetrics,
     ServerHealth,
     SnapshotError,
@@ -39,9 +40,9 @@ class TestServedEmbeddings:
             store.embedding(-1)
 
     def test_non_integer_node_rejected(self, store):
-        with pytest.raises(UnknownNodeError):
+        with pytest.raises(MalformedQueryError):
             store.embedding("7")
-        with pytest.raises(UnknownNodeError):
+        with pytest.raises(MalformedQueryError):
             store.embedding(True)
 
 
